@@ -1,14 +1,9 @@
-// Scaling the verifier: sharded pool + indexed appraisal vs the single
-// linear verifier, plus a PolicyIndex microbenchmark at production policy
-// scale (hundreds of thousands of entries, a long exclude-glob list).
-//
-// Two effects compound here:
-//   * PolicyIndex turns every IMA appraisal from "scan the whole exclude
-//     list, then walk a std::map" into one hash probe with the exclusion
-//     bit precomputed — this is the per-entry win, visible on any host;
-//   * sharding runs N verification stacks concurrently — this multiplies
-//     by up to the core count, so single-core CI shows ~1x from it while
-//     a production host shows ~N x.
+// Scaling the verifier pool. Part 2 runs the sharded pool against a
+// single-shard one: sharding runs N verification stacks concurrently,
+// which multiplies by up to the core count, so single-core CI shows ~1x
+// from it while a production host shows ~N x. Part 3 prices a live
+// resize. (PolicyIndex against the linear RuntimePolicy::check scan is
+// bench_hotpath's policy_probe stage.)
 //
 // Part 4 measures the policy-store delta pipeline at the paper's §III-C
 // shape (a ~1.3k-line daily update against a ~300k-entry base) and emits
@@ -58,11 +53,9 @@ std::size_t env_size(const char* name, std::size_t fallback) {
 
 /// A production-shaped exclude list. Real deployments accumulate long
 /// lists of suffix and infix patterns (churn files: logs, caches,
-/// editor backups, bytecode) — each one forces the backtracking matcher
-/// to walk the whole path, and RuntimePolicy::check runs the full list
-/// on EVERY appraisal, policy hits included. PolicyIndex precomputes the
-/// exclusion bit per indexed path and compiles "DIR/*" patterns to hash
-/// probes, so appraisal stops paying for the list's length.
+/// editor backups, bytecode); PolicyIndex precomputes the exclusion bit
+/// per indexed path and compiles "DIR/*" patterns to hash probes, so
+/// appraisal does not pay for the list's length.
 void add_exclude_list(keylime::RuntimePolicy& policy, std::size_t globs) {
   const char* suffixes[] = {"log", "tmp", "swp", "pyc", "bak", "cache",
                             "old", "lock"};
@@ -86,117 +79,22 @@ void add_exclude_list(keylime::RuntimePolicy& policy, std::size_t globs) {
 }
 
 // ---------------------------------------------------------------------
-// Part 1: PolicyIndex vs linear RuntimePolicy::check at 300k entries.
-
-struct IndexBenchResult {
-  double linear_ms = 0;
-  double indexed_ms = 0;
-  double build_ms = 0;
-  std::size_t probes = 0;
-  std::size_t entries = 0;
-};
-
-IndexBenchResult bench_policy_index() {
-  IndexBenchResult result;
-  const std::size_t kPaths = 150000;
-  const std::size_t kHashesPerPath = 2;
-  const std::size_t kGlobs = 96;
-
-  keylime::RuntimePolicy policy;
-  add_exclude_list(policy, kGlobs);
-  for (std::size_t i = 0; i < kPaths; ++i) {
-    const std::string path =
-        strformat("/usr/lib/x86_64-linux-gnu/pkg-%05zu/libtool-%zu.so.0",
-                  i / 4, i % 4);
-    for (std::size_t h = 0; h < kHashesPerPath; ++h) {
-      policy.allow(path, crypto::digest_hex(crypto::sha256(
-                             strformat("content-%zu-%zu", i, h))));
-    }
-  }
-  result.entries = policy.entry_count();
-
-  auto start = std::chrono::steady_clock::now();
-  const auto index = keylime::PolicyIndex::build(policy, 1);
-  result.build_ms = wall_ms(start);
-
-  // Probe mix modelled on a real appraisal stream: overwhelmingly
-  // policy hits (installed files being re-measured), a few stale hashes,
-  // a sprinkle of unknown and excluded paths.
-  struct Probe {
-    std::string path;
-    std::string hash;
-  };
-  std::vector<Probe> probes;
-  const std::size_t kProbes = 200000;
-  probes.reserve(kProbes);
-  for (std::size_t i = 0; i < kProbes; ++i) {
-    const std::size_t r = i % 40;
-    if (r < 36) {  // hit: known path, acceptable hash
-      const std::size_t p = (i * 7919) % kPaths;
-      probes.push_back(
-          {strformat("/usr/lib/x86_64-linux-gnu/pkg-%05zu/libtool-%zu.so.0",
-                     p / 4, p % 4),
-           crypto::digest_hex(crypto::sha256(
-               strformat("content-%zu-%zu", p, i % kHashesPerPath)))});
-    } else if (r < 38) {  // known path, stale hash
-      const std::size_t p = (i * 104729) % kPaths;
-      probes.push_back(
-          {strformat("/usr/lib/x86_64-linux-gnu/pkg-%05zu/libtool-%zu.so.0",
-                     p / 4, p % 4),
-           crypto::digest_hex(crypto::sha256("stale"))});
-    } else if (r == 38) {  // unknown path
-      probes.push_back({strformat("/opt/unknown/bin-%zu", i),
-                        crypto::digest_hex(crypto::sha256("x"))});
-    } else {  // excluded path (a compiled directory glob)
-      probes.push_back({strformat("/var/cache/app-%03zu/obj-%zu",
-                                  (i % 8) * 4 + 3, i),
-                        crypto::digest_hex(crypto::sha256("x"))});
-    }
-  }
-  result.probes = probes.size();
-
-  // Fold match outcomes into a checksum so the compiler cannot elide
-  // either loop, and so both paths can be cross-checked for agreement.
-  std::uint64_t linear_sum = 0, indexed_sum = 0;
-  start = std::chrono::steady_clock::now();
-  for (const Probe& probe : probes) {
-    linear_sum = linear_sum * 31 +
-                 static_cast<std::uint64_t>(policy.check(probe.path, probe.hash));
-  }
-  result.linear_ms = wall_ms(start);
-
-  start = std::chrono::steady_clock::now();
-  for (const Probe& probe : probes) {
-    indexed_sum = indexed_sum * 31 +
-                  static_cast<std::uint64_t>(index->check(probe.path, probe.hash));
-  }
-  result.indexed_ms = wall_ms(start);
-
-  if (linear_sum != indexed_sum) {
-    std::printf("  !! DIVERGENCE: linear and indexed verdicts differ\n");
-  }
-  return result;
-}
-
-// ---------------------------------------------------------------------
-// Part 2: fleet throughput, single linear verifier vs sharded pool.
+// Part 2: fleet throughput, one shard vs a sharded pool.
 
 struct FleetBenchResult {
   std::size_t polls = 0;
-  std::uint64_t appraised = 0;
   double ms = 0;
   /// Virtual seconds the slowest shard needed to complete the rounds —
   /// the fleet's attestation round latency. Network latency is charged
   /// per call to the owning shard's clock, so N shards polling
   /// concurrently finish a fleet round in ~1/N the virtual time of one
   /// verifier polling everyone back to back. Deterministic (independent
-  /// of host core count): this is the sharding win, where wall-clock
-  /// polls/s is the indexed-appraisal win.
+  /// of host core count): this is the sharding win.
   SimTime virtual_elapsed = 0;
 };
 
-FleetBenchResult bench_fleet(std::size_t shards, bool indexed,
-                             std::size_t agents, std::size_t rounds) {
+FleetBenchResult bench_fleet(std::size_t shards, std::size_t agents,
+                             std::size_t rounds) {
   PoolFleetOptions options;
   options.agents = agents;
   options.shards = shards;
@@ -217,16 +115,7 @@ FleetBenchResult bench_fleet(std::size_t shards, bool indexed,
 
   keylime::RuntimePolicy policy = fleet.fleet_policy();
   add_exclude_list(policy, 128);
-  if (indexed) {
-    (void)fleet.pool().set_fleet_policy(policy);
-  } else {
-    // The pre-pool architecture: per-agent pushes through the legacy
-    // path, linear appraisal on every entry.
-    for (const std::string& id : fleet.agent_ids()) {
-      (void)fleet.pool().verifier(fleet.pool().shard_for(id))
-          .set_policy(id, policy);
-    }
-  }
+  (void)fleet.pool().set_policy_bulk(fleet.pool().agent_ids(), policy);
 
   // Every quote RPC costs one virtual second of network latency, charged
   // to the owning shard's clock — round latency is how long the fleet
@@ -250,8 +139,6 @@ FleetBenchResult bench_fleet(std::size_t shards, bool indexed,
         result.virtual_elapsed, fleet.pool().clock(s).now() - clock_start[s]);
   }
   result.polls = fleet.pool().stats().polls;
-  const auto stats = fleet.pool().stats();
-  result.appraised = stats.index_hits + stats.index_misses;
   return result;
 }
 
@@ -284,7 +171,8 @@ ResizeBenchResult bench_resize(std::size_t from, std::size_t to,
                 fleet.init_status().error().message.c_str());
     return result;
   }
-  (void)fleet.pool().set_fleet_policy(fleet.fleet_policy());
+  (void)fleet.pool().set_policy_bulk(fleet.pool().agent_ids(),
+                                     fleet.fleet_policy());
   // Give every agent real state to carry: log cursors past boot, audit
   // sub-chains, scheduler history — the resize serializes all of it.
   for (std::size_t r = 0; r < 2; ++r) {
@@ -340,9 +228,9 @@ DeltaBenchResult bench_policy_delta(std::size_t entries, std::size_t reps) {
   using namespace cia::keylime;
   DeltaBenchResult result;
 
-  // Same base shape as Part 1: entries/2 paths with two acceptable
-  // hashes each, plus a production-length exclude list (the exclude scan
-  // is the dominant full-build cost the incremental path skips).
+  // entries/2 paths with two acceptable hashes each, plus a
+  // production-length exclude list (the exclude scan is the dominant
+  // full-build cost the incremental path skips).
   const std::size_t paths = entries / 2;
   RuntimePolicy base;
   add_exclude_list(base, 96);
@@ -586,7 +474,7 @@ int main(int argc, char** argv) {
       env_size("CIA_BENCH_POLICY_ENTRIES", 300000);
   const std::size_t policy_reps = env_size("CIA_BENCH_POLICY_REPS", 3);
 
-  // --check is the CI gate: only the ratio-pinned Part 4 runs (Parts 1-3
+  // --check is the CI gate: only the ratio-pinned Part 4 runs (Parts 2-3
   // report host-dependent throughput with no baseline to gate against).
   if (check_mode) {
     const DeltaBenchResult dr =
@@ -595,47 +483,31 @@ int main(int argc, char** argv) {
     return run_policy_check(baseline_path, tolerance, dr);
   }
 
-  std::printf("PolicyIndex vs linear scan (one policy revision)\n\n");
-  const IndexBenchResult ib = bench_policy_index();
-  std::printf("  entries   probes    build     linear     indexed   speedup\n");
-  std::printf("  %7zu   %6zu   %5.0fms   %6.0fms   %7.1fms   %6.1fx\n\n",
-              ib.entries, ib.probes, ib.build_ms, ib.linear_ms, ib.indexed_ms,
-              ib.indexed_ms > 0 ? ib.linear_ms / ib.indexed_ms : 0.0);
-
   const std::size_t agents = env_size("CIA_BENCH_POOL_AGENTS", 1000);
   const std::size_t rounds = env_size("CIA_BENCH_POOL_ROUNDS", 2);
   std::printf("Fleet attestation throughput (%zu agents, %zu rounds)\n\n",
               agents, rounds);
   std::printf(
-      "  config                        polls   round_virt_s   polls/virt_s"
-      "   speedup   wall_ms   polls/s\n");
-  const FleetBenchResult base = bench_fleet(1, /*indexed=*/false, agents, rounds);
-  const double base_vrate =
-      base.virtual_elapsed > 0
-          ? static_cast<double>(base.polls) / base.virtual_elapsed
-          : 0;
-  const double base_rate = base.ms > 0 ? base.polls / (base.ms / 1000.0) : 0;
-  std::printf(
-      "  1 shard, linear (baseline)  %7zu   %12lld   %12.1f     1.0x   %7.0f   %7.0f\n",
-      base.polls, static_cast<long long>(base.virtual_elapsed), base_vrate,
-      base.ms, base_rate);
-  for (const std::size_t shards : {2u, 4u, 8u}) {
-    const FleetBenchResult r = bench_fleet(shards, /*indexed=*/true, agents, rounds);
+      "  shards   polls   round_virt_s   polls/virt_s   speedup   wall_ms"
+      "   polls/s\n");
+  double base_vrate = 0;  // the 1-shard run's, the speedup baseline
+  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
+    const FleetBenchResult r = bench_fleet(shards, agents, rounds);
     const double vrate = r.virtual_elapsed > 0
                              ? static_cast<double>(r.polls) / r.virtual_elapsed
                              : 0;
+    if (shards == 1) base_vrate = vrate;
     const double rate = r.ms > 0 ? r.polls / (r.ms / 1000.0) : 0;
-    std::printf(
-        "  %zu shards, indexed           %7zu   %12lld   %12.1f   %5.1fx   %7.0f   %7.0f\n",
-        shards, r.polls, static_cast<long long>(r.virtual_elapsed), vrate,
-        base_vrate > 0 ? vrate / base_vrate : 0, r.ms, rate);
+    std::printf("  %6zu %7zu   %12lld   %12.1f   %6.1fx   %7.0f   %7.0f\n",
+                shards, r.polls, static_cast<long long>(r.virtual_elapsed),
+                vrate, base_vrate > 0 ? vrate / base_vrate : 0, r.ms, rate);
   }
   std::printf(
       "\n  polls/virt_s is fleet round latency: N shards poll concurrently,\n"
       "  so the fleet is re-attested ~N x as often for the same per-link\n"
-      "  cost — deterministic, independent of host cores. wall_ms shows the\n"
-      "  indexed-appraisal win on this host; on a multi-core verifier the\n"
-      "  shard parallelism multiplies it by up to the core count.\n");
+      "  cost — deterministic, independent of host cores. On a multi-core\n"
+      "  verifier the shard parallelism also multiplies wall-clock polls/s\n"
+      "  by up to the core count.\n");
 
   const std::size_t resize_agents =
       env_size("CIA_BENCH_POOL_RESIZE_AGENTS", 400);

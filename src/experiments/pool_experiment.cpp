@@ -80,7 +80,7 @@ keylime::RuntimePolicy PoolFleet::fleet_policy() const {
 }
 
 Status PoolFleet::push_fleet_policy() {
-  return pool_->set_fleet_policy(fleet_policy());
+  return pool_->set_policy_bulk(pool_->agent_ids(), fleet_policy());
 }
 
 void PoolFleet::run_workload_round(std::uint64_t round) {
@@ -153,6 +153,17 @@ oskernel::Machine* PoolFleet::machine_for(const std::string& agent_id) {
   return machines_[it->second].get();
 }
 
+namespace {
+
+void note_enrolment_faults(const keylime::VerifierPool& pool,
+                           std::size_t round, std::vector<std::string>* out) {
+  for (const std::string& fault : pool.enrolment_faults()) {
+    out->push_back(strformat("round %zu: ", round) + fault);
+  }
+}
+
+}  // namespace
+
 ChurnReport run_churn_campaign(PoolFleet& fleet,
                                const ChurnCampaignOptions& options) {
   ChurnReport report;
@@ -168,6 +179,7 @@ ChurnReport run_churn_campaign(PoolFleet& fleet,
         report.status = st;
         return report;
       }
+      note_enrolment_faults(fleet.pool(), round, &report.enrolment_faults);
     }
 
     const std::size_t joins =
@@ -200,6 +212,7 @@ ChurnReport run_churn_campaign(PoolFleet& fleet,
         report.status = st;
         return report;
       }
+      note_enrolment_faults(fleet.pool(), round, &report.enrolment_faults);
       ++report.leaves;
     }
 
@@ -311,7 +324,9 @@ StormReport run_alert_storm(const StormOptions& options) {
       report.status = st;
       return report;
     }
-  } else if (Status st = fleet.pool().set_fleet_policy(bad); !st.ok()) {
+  } else if (Status st =
+                 fleet.pool().set_policy_bulk(fleet.pool().agent_ids(), bad);
+             !st.ok()) {
     report.status = st;
     return report;
   }
@@ -328,6 +343,7 @@ StormReport run_alert_storm(const StormOptions& options) {
         report.status = st;
         return report;
       }
+      note_enrolment_faults(fleet.pool(), round, &report.enrolment_faults);
     }
     fleet.run_workload_round(round);
     fleet.pool().advance_to(

@@ -135,6 +135,10 @@ struct ChurnReport {
   std::size_t leaves = 0;
   std::size_t reboots = 0;
   std::size_t polls = 0;
+  /// VerifierPool::enrolment_faults found after any resize or leave,
+  /// each prefixed with its round; empty when every agent stayed
+  /// enrolled on exactly one shard.
+  std::vector<std::string> enrolment_faults;
   Status status;
 };
 
@@ -239,6 +243,8 @@ struct StormReport {
   /// at scenario end. 0 after a rollback (the promote path legitimately
   /// moves everyone there).
   std::uint64_t non_canary_on_bad_revision = 0;
+  /// VerifierPool::enrolment_faults found after the mid-storm resize.
+  std::vector<std::string> enrolment_faults;
 };
 
 /// Run the storm against a fresh fleet built from the options.

@@ -131,11 +131,10 @@ class PolicySink {
   virtual Status set_policy(const std::string& agent_id,
                             RuntimePolicy policy) = 0;
 
-  /// Install one policy on many agents. The default loops set_policy;
-  /// sharded implementations override it to build the shared lookup
-  /// index once per policy revision instead of once per agent.
+  /// Install one policy on many agents, building the shared lookup
+  /// index once per call instead of once per agent.
   virtual Status set_policy_bulk(const std::vector<std::string>& agent_ids,
-                                 const RuntimePolicy& policy);
+                                 const RuntimePolicy& policy) = 0;
 
   /// Push one content-addressed revision to many agents. `digest` is
   /// policy_store::policy_digest(policy); `delta` (may be null) rebases

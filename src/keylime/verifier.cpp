@@ -31,6 +31,26 @@ const std::vector<int>& quoted_pcrs() {
   return kPcrs;
 }
 
+namespace {
+
+/// A policy with a fresh index at revision 0: what a solo set_policy
+/// push, a restored or imported slice (until a push replaces it) and the
+/// empty policy get.
+InstalledPolicy unrevisioned(RuntimePolicy policy) {
+  auto shared = std::make_shared<const RuntimePolicy>(std::move(policy));
+  auto index = PolicyIndex::build(*shared);
+  return InstalledPolicy{std::move(shared), std::move(index)};
+}
+
+/// The pair every agent holds until a policy is pushed to it — one per
+/// process; every measured path is not-in-policy under it.
+const InstalledPolicy& empty_policy() {
+  static const InstalledPolicy kEmpty = unrevisioned(RuntimePolicy{});
+  return kEmpty;
+}
+
+}  // namespace
+
 Verifier::Verifier(netsim::SimNetwork* network, SimClock* clock,
                    std::uint64_t seed, VerifierConfig config)
     : network_(network),
@@ -118,50 +138,43 @@ Status Verifier::add_agent(const std::string& agent_id,
   rec.address = address;
   rec.ak = *ak;
   rec.accumulated_pcr = crypto::zero_digest();
+  rec.installed = empty_policy();
   agents_[agent_id] = std::move(rec);
   return Status::ok_status();
 }
 
-Status Verifier::set_policy(const std::string& agent_id, RuntimePolicy policy) {
+Status Verifier::install_policy(const std::string& agent_id,
+                                std::shared_ptr<const RuntimePolicy> policy,
+                                std::shared_ptr<const PolicyIndex> index) {
+  if (!policy || !index) {
+    return err(Errc::kInvalidArgument, "install_policy: null policy or index");
+  }
   auto it = agents_.find(agent_id);
   if (it == agents_.end()) {
     return err(Errc::kNotFound, "unknown agent " + agent_id);
   }
-  it->second.policy = std::move(policy);
-  it->second.index.reset();  // a stale index must never outlive its policy
+  it->second.installed = {std::move(policy), std::move(index)};
   return Status::ok_status();
 }
 
-Status Verifier::set_indexed_policy(const std::string& agent_id,
-                                    RuntimePolicy policy,
-                                    std::shared_ptr<const PolicyIndex> index) {
-  auto it = agents_.find(agent_id);
-  if (it == agents_.end()) {
-    return err(Errc::kNotFound, "unknown agent " + agent_id);
-  }
-  it->second.policy = std::move(policy);
-  it->second.index = std::move(index);
-  return Status::ok_status();
+Status Verifier::set_policy(const std::string& agent_id, RuntimePolicy policy) {
+  const InstalledPolicy pair = unrevisioned(std::move(policy));
+  return install_policy(agent_id, pair.policy, pair.index);
 }
 
 Status Verifier::set_policy_bulk(const std::vector<std::string>& agent_ids,
                                  const RuntimePolicy& policy) {
-  // One shared index for the whole batch. The default PolicySink loop
-  // would call set_policy per agent, which drops the index and leaves
-  // every solo-verifier agent on the linear RuntimePolicy scan — N
-  // agents would then pay N linear appraisals per round where one
-  // build covers them all.
-  const auto index = PolicyIndex::build(policy, ++bulk_revision_);
+  const auto shared = std::make_shared<const RuntimePolicy>(policy);
+  const auto index = PolicyIndex::build(*shared, ++bulk_revision_);
   for (const std::string& id : agent_ids) {
-    if (Status s = set_indexed_policy(id, policy, index); !s.ok()) return s;
+    if (Status s = install_policy(id, shared, index); !s.ok()) return s;
   }
   return Status::ok_status();
 }
 
 std::uint64_t Verifier::policy_revision_of(const std::string& agent_id) const {
   auto it = agents_.find(agent_id);
-  if (it == agents_.end() || it->second.index == nullptr) return 0;
-  return it->second.index->revision();
+  return it == agents_.end() ? 0 : it->second.installed.index->revision();
 }
 
 Status Verifier::set_mb_refstate(const std::string& agent_id,
@@ -258,9 +271,10 @@ Result<BootLogReport> Verifier::attest_boot_log(const std::string& agent_id) {
   return report;
 }
 
-const RuntimePolicy* Verifier::policy(const std::string& agent_id) const {
+const InstalledPolicy* Verifier::installed_policy(
+    const std::string& agent_id) const {
   auto it = agents_.find(agent_id);
-  return it == agents_.end() ? nullptr : &it->second.policy;
+  return it == agents_.end() ? nullptr : &it->second.installed;
 }
 
 void Verifier::raise(AgentRecord& rec, const std::string& agent_id,
@@ -275,7 +289,7 @@ void Verifier::raise(AgentRecord& rec, const std::string& agent_id,
   alert.observed_hash_hex = std::move(observed_hash_hex);
   alert.detail = std::move(detail);
   alert.log_index = log_index;
-  alert.policy_revision = rec.index ? rec.index->revision() : 0;
+  alert.policy_revision = rec.installed.index->revision();
   // The round's copy is unavoidable (both streams are observable); the
   // durable one is a move of the fully-built alert.
   round.alerts.push_back(alert);
@@ -553,12 +567,12 @@ Result<AttestationRound> Verifier::attest_once_impl(const std::string& agent_id)
   // then this round's entries appraised in place straight off the
   // decoded views — the accepted fragment only ever touches the heap if
   // evaluation halts and the remainder must outlive the response buffer.
-  // Appraisal goes through the shared PolicyIndex snapshot when one is
-  // installed (the shared_ptr keeps this round's revision alive across a
-  // concurrent copy-on-write policy swap), else the linear RuntimePolicy
-  // scan.
+  // Appraisal goes through the installed PolicyIndex snapshot (the
+  // shared_ptr keeps this round's revision alive across a concurrent
+  // copy-on-write policy swap).
   auto span = trace_span("policy_decision");
-  const std::shared_ptr<const PolicyIndex> index_snapshot = rec.index;
+  const std::shared_ptr<const PolicyIndex> index_snapshot =
+      rec.installed.index;
   const std::uint64_t base_offset = rec.log_offset;
   rec.log_offset += qr.entries.size();
 
@@ -570,7 +584,7 @@ Result<AttestationRound> Verifier::attest_once_impl(const std::string& agent_id)
       rec.pending.pop_front();
       continue;
     }
-    const PolicyMatch match = appraise(rec, index_snapshot.get(), entry.path,
+    const PolicyMatch match = appraise(*index_snapshot, entry.path,
                                        entry.file_hash, entry.template_hash);
     if (match == PolicyMatch::kAllowed || match == PolicyMatch::kExcluded) {
       rec.pending.pop_front();
@@ -595,7 +609,7 @@ Result<AttestationRound> Verifier::attest_once_impl(const std::string& agent_id)
       const LogEntryView& entry = qr.entries[next];
       ++round.evaluated;
       if (entry.path == "boot_aggregate") continue;
-      const PolicyMatch match = appraise(rec, index_snapshot.get(), entry.path,
+      const PolicyMatch match = appraise(*index_snapshot, entry.path,
                                          entry.file_hash, entry.template_hash);
       if (match == PolicyMatch::kAllowed || match == PolicyMatch::kExcluded) {
         continue;
@@ -625,24 +639,18 @@ Result<AttestationRound> Verifier::attest_once_impl(const std::string& agent_id)
   return round;
 }
 
-PolicyMatch Verifier::appraise(AgentRecord& rec, const PolicyIndex* index,
-                               std::string_view path,
+PolicyMatch Verifier::appraise(const PolicyIndex& index, std::string_view path,
                                const crypto::Digest& file_hash,
                                const crypto::Digest& template_hash) {
-  if (!index) {
-    // Legacy linear path. No cache here: a cached verdict must be keyed
-    // to an index uid so policy swaps invalidate it.
-    return rec.policy.check(std::string(path), file_hash);
-  }
   if (cache_) {
-    if (const auto cached = cache_->lookup(template_hash, index->uid())) {
+    if (const auto cached = cache_->lookup(template_hash, index.uid())) {
       return *cached;
     }
   }
   bool known = false;
-  const PolicyMatch match = index->check(path, file_hash, &known);
+  const PolicyMatch match = index.check(path, file_hash, &known);
   ++(known ? index_stats_.hits : index_stats_.misses);
-  if (cache_) cache_->insert(template_hash, index->uid(), match);
+  if (cache_) cache_->insert(template_hash, index.uid(), match);
   return match;
 }
 
@@ -721,7 +729,7 @@ json::Value Verifier::agent_to_json(const std::string& agent_id,
   a.set("id", agent_id);
   a.set("address", rec.address);
   a.set("ak", to_hex(rec.ak.encode()));
-  a.set("policy", rec.policy.to_json());
+  a.set("policy", rec.installed.policy->to_json());
   a.set("state", rec.state == AgentState::kFailed ? "failed" : "attesting");
   a.set("log_offset", static_cast<std::int64_t>(rec.log_offset));
   a.set("accumulated_pcr", crypto::digest_hex(rec.accumulated_pcr));
@@ -836,6 +844,7 @@ Status Verifier::restore(const json::Value& doc) {
     if (!slice.ok()) return slice.error();
     ParsedAgentSlice parsed = std::move(slice).take();
     if (parsed.tail) tails[parsed.id] = *parsed.tail;
+    parsed.record.installed = unrevisioned(std::move(parsed.policy));
     restored[parsed.id] = std::move(parsed.record);
   }
 
@@ -883,7 +892,7 @@ Result<Verifier::ParsedAgentSlice> Verifier::agent_from_json(
   rec.ak = *ak_key;
   auto policy = RuntimePolicy::from_json(*policy_field);
   if (!policy.ok()) return policy.error();
-  rec.policy = std::move(policy).take();
+  parsed.policy = std::move(policy).take();
   if (state->as_string() == "failed") {
     rec.state = AgentState::kFailed;
   } else if (state->as_string() == "attesting") {
@@ -1014,6 +1023,7 @@ Status Verifier::import_agent(const json::Value& slice) {
   // All validation is done; commit atomically. Replace-by-id makes a
   // duplicated handoff message harmless.
   if (p.tail) audit_.set_agent_tail(p.id, *p.tail);
+  p.record.installed = unrevisioned(std::move(p.policy));
   agents_[p.id] = std::move(p.record);
   return Status::ok_status();
 }

@@ -55,8 +55,9 @@ struct Alert {
   std::string observed_hash_hex;  // measured hash (policy alerts)
   std::string detail;
   std::size_t log_index = 0;  // global index of the offending entry
-  /// PolicyIndex revision the entry was appraised under (0 when the
-  /// agent had no indexed policy installed). Part of the alert-pipeline
+  /// PolicyIndex revision the entry was appraised under (0 for a solo
+  /// set_policy push, a restored/imported slice, or the empty policy an
+  /// agent is enrolled with). Part of the alert-pipeline
   /// dedup key: the same digest alerting under two policy revisions is
   /// two distinct root causes.
   std::uint64_t policy_revision = 0;
@@ -126,6 +127,16 @@ struct BootLogReport {
   }
 };
 
+/// The runtime policy an agent is appraised against, together with its
+/// lookup index: installed as one immutable unit and shared read-only by
+/// every agent (and pool shard) that holds the same revision. Neither
+/// pointer is ever null — an agent enrolled without a policy holds the
+/// process-wide empty pair.
+struct InstalledPolicy {
+  std::shared_ptr<const RuntimePolicy> policy;
+  std::shared_ptr<const PolicyIndex> index;
+};
+
 class Verifier : public PolicySink {
  public:
   Verifier(netsim::SimNetwork* network, SimClock* clock, std::uint64_t seed,
@@ -148,30 +159,28 @@ class Verifier : public PolicySink {
   /// from the registrar; fails if the agent is not activated there.
   Status add_agent(const std::string& agent_id, const std::string& address);
 
+  /// Install `policy` with its lookup index for an agent — the one
+  /// install primitive every other push builds on. The swap is
+  /// copy-on-write: an appraisal already running against the old index
+  /// keeps its snapshot alive through the shared_ptr. Both pointers must
+  /// be non-null, and `index` must have been built over `policy`.
+  Status install_policy(const std::string& agent_id,
+                        std::shared_ptr<const RuntimePolicy> policy,
+                        std::shared_ptr<const PolicyIndex> index);
+
   /// Install/replace the runtime policy for an agent (the dynamic policy
-  /// generator pushes through here before each scheduled update). Drops
-  /// any installed PolicyIndex — a plain push has no index revision, so
-  /// appraisal falls back to RuntimePolicy::check until one is installed.
+  /// generator pushes through here before each scheduled update): builds
+  /// its index at revision 0 and installs the pair.
   Status set_policy(const std::string& agent_id, RuntimePolicy policy) override;
 
-  /// Install a policy together with a prebuilt shared lookup index (the
-  /// VerifierPool path: one index per policy revision, shared read-only
-  /// across every shard and agent it covers). The swap is copy-on-write:
-  /// an appraisal already running against the old index keeps its
-  /// snapshot alive through the shared_ptr.
-  Status set_indexed_policy(const std::string& agent_id, RuntimePolicy policy,
-                            std::shared_ptr<const PolicyIndex> index);
-
-  /// Bulk push with index dedupe: builds ONE PolicyIndex for the batch
-  /// and installs it on every listed agent via set_indexed_policy. The
-  /// solo-verifier counterpart of the pool's shared-index push — the
-  /// orchestrator's bulk pushes land here when the sink is a plain
-  /// Verifier, so its agents get indexed appraisal too instead of the
-  /// linear fallback set_policy leaves behind.
+  /// Bulk push with index dedupe: builds ONE PolicyIndex for the batch,
+  /// tagged with this verifier's next bulk revision, and installs the
+  /// shared pair on every listed agent. The orchestrator's pushes land
+  /// here when the sink is a plain Verifier.
   Status set_policy_bulk(const std::vector<std::string>& agent_ids,
                          const RuntimePolicy& policy) override;
 
-  /// Revision tag of the agent's installed PolicyIndex (0 when none) —
+  /// Revision tag of the agent's installed PolicyIndex (0 when unknown) —
   /// what Alert::policy_revision will carry for its next appraisal. The
   /// rollout checks use this to prove no non-canary agent ever held a
   /// rolled-back revision.
@@ -179,8 +188,7 @@ class Verifier : public PolicySink {
 
   /// Cumulative PolicyIndex lookup tallies across all agents: a hit
   /// resolved the path from the index table, a miss fell through to the
-  /// exclude-glob scan. Entries appraised without an index count in
-  /// neither.
+  /// exclude-glob scan. Verdicts served by the cache count in neither.
   struct IndexStats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
@@ -188,9 +196,9 @@ class Verifier : public PolicySink {
   const IndexStats& index_stats() const { return index_stats_; }
 
   /// Attach a policy-verdict cache (non-owning; nullptr detaches).
-  /// Appraisal consults it before the PolicyIndex probe; it only
-  /// participates on indexed appraisals, since a cached verdict is keyed
-  /// by PolicyIndex::uid() so copy-on-write policy swaps invalidate it.
+  /// Appraisal consults it before the PolicyIndex probe; a cached verdict
+  /// is keyed by PolicyIndex::uid(), so copy-on-write policy swaps
+  /// invalidate it.
   /// The cache is not thread-safe — give each verifier (pool shard) its
   /// own instance.
   void use_appraisal_cache(AppraisalCache* cache) { cache_ = cache; }
@@ -208,7 +216,8 @@ class Verifier : public PolicySink {
   /// boot-chain PCRs, and diff it against the pinned baseline.
   Result<BootLogReport> attest_boot_log(const std::string& agent_id);
 
-  const RuntimePolicy* policy(const std::string& agent_id) const;
+  /// The agent's installed policy pair (nullptr when unknown).
+  const InstalledPolicy* installed_policy(const std::string& agent_id) const;
 
   /// One attestation round: challenge, verify, evaluate.
   /// For a FAILED agent this is a no-op unless continue_on_failure.
@@ -320,8 +329,7 @@ class Verifier : public PolicySink {
   struct AgentRecord {
     std::string address;
     crypto::PublicKey ak;
-    RuntimePolicy policy;
-    std::shared_ptr<const PolicyIndex> index;  // null: linear appraisal
+    InstalledPolicy installed;
     std::optional<MbRefstate> mb_refstate;
     std::vector<oskernel::BootEvent> boot_baseline;
     AgentState state = AgentState::kAttesting;
@@ -333,11 +341,13 @@ class Verifier : public PolicySink {
     std::deque<std::pair<std::uint64_t, ima::LogEntry>> pending;  // unevaluated
   };
 
-  /// A fully parsed agent slice: the record plus the audit sub-chain tail
-  /// it carries (absent in v1 checkpoints).
+  /// A fully parsed agent slice: the record, its policy (indexed only
+  /// when the slice is committed, so validation never pays a build), and
+  /// the audit sub-chain tail it carries (absent in v1 checkpoints).
   struct ParsedAgentSlice {
     std::string id;
     AgentRecord record;
+    RuntimePolicy policy;
     std::optional<AuditLog::AgentTail> tail;
   };
 
@@ -360,12 +370,11 @@ class Verifier : public PolicySink {
   Result<AttestationRound> attest_once_impl(const std::string& agent_id);
 
   /// One policy verdict on the appraisal hot path: verdict cache (when
-  /// attached and an index is installed), then PolicyIndex probe, then
-  /// the linear RuntimePolicy scan when no index is installed.
-  /// `template_hash` must be the hash the verifier computed/verified from
-  /// the entry's own data — it is the cache key.
-  PolicyMatch appraise(AgentRecord& rec, const PolicyIndex* index,
-                       std::string_view path, const crypto::Digest& file_hash,
+  /// attached), then PolicyIndex probe. `template_hash` must be the hash
+  /// the verifier computed/verified from the entry's own data — it is
+  /// the cache key.
+  PolicyMatch appraise(const PolicyIndex& index, std::string_view path,
+                       const crypto::Digest& file_hash,
                        const crypto::Digest& template_hash);
 
   /// Open a child span on the attached tracer (no-op scope when tracing

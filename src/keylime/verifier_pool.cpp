@@ -4,6 +4,7 @@
 #include <thread>
 
 #include "common/log.hpp"
+#include "common/strutil.hpp"
 #include "keylime/policy_store/store.hpp"
 
 namespace cia::keylime {
@@ -188,18 +189,7 @@ Status VerifierPool::enroll(const std::string& agent_id,
 
 Status VerifierPool::set_policy(const std::string& agent_id,
                                 RuntimePolicy policy) {
-  std::uint64_t revision;
-  {
-    std::lock_guard<std::mutex> lock(revision_mu_);
-    revision = ++revision_;
-    last_pushed_digest_.clear();  // content of the head revision unknown now
-    last_pushed_index_.reset();
-  }
-  auto index = PolicyIndex::build(policy, revision);
-  Shard& shard = *shard_ptr(owner_of(agent_id));
-  std::lock_guard<std::mutex> lock(shard.mailbox_mu);
-  shard.mailbox.push_back({agent_id, std::move(policy), std::move(index)});
-  return Status::ok_status();
+  return set_policy_bulk({agent_id}, policy);
 }
 
 Status VerifierPool::set_policy_bulk(const std::vector<std::string>& agent_ids,
@@ -209,16 +199,13 @@ Status VerifierPool::set_policy_bulk(const std::vector<std::string>& agent_ids,
     std::lock_guard<std::mutex> lock(revision_mu_);
     revision = ++revision_;
     last_pushed_digest_.clear();  // content of the head revision unknown now
-    last_pushed_index_.reset();
+    last_pushed_ = {};
   }
-  // One index for the whole revision; every covered agent on every shard
+  // One pair for the whole revision; every covered agent on every shard
   // shares it read-only.
-  const auto index = PolicyIndex::build(policy, revision);
-  for (const std::string& id : agent_ids) {
-    Shard& shard = *shard_ptr(owner_of(id));
-    std::lock_guard<std::mutex> lock(shard.mailbox_mu);
-    shard.mailbox.push_back({id, policy, index});
-  }
+  auto shared = std::make_shared<const RuntimePolicy>(policy);
+  auto index = PolicyIndex::build(*shared, revision);
+  enqueue_policy(agent_ids, {std::move(shared), std::move(index)});
   return Status::ok_status();
 }
 
@@ -230,36 +217,38 @@ Status VerifierPool::push_revision(const std::vector<std::string>& agent_ids,
     return err(Errc::kInvalidArgument, "push_revision needs a content digest");
   }
   std::uint64_t revision = 0;
-  std::shared_ptr<const PolicyIndex> index;
+  InstalledPolicy pushed;
   std::shared_ptr<const PolicyIndex> base;
   const char* mode = "full";
   {
     std::lock_guard<std::mutex> lock(revision_mu_);
-    if (digest == last_pushed_digest_ && last_pushed_index_ != nullptr) {
-      // Same content as the head revision: reuse its index outright (the
+    if (digest == last_pushed_digest_ && last_pushed_.index != nullptr) {
+      // Same content as the head revision: reuse its pair outright (the
       // promote path — the canary slice already paid for this build).
-      index = last_pushed_index_;
+      pushed = last_pushed_;
       mode = "reused";
     } else {
       revision = ++revision_;
       if (delta != nullptr && delta->base_digest == last_pushed_digest_ &&
-          last_pushed_index_ != nullptr && !delta->touches_excludes()) {
-        base = last_pushed_index_;
+          last_pushed_.index != nullptr && !delta->touches_excludes()) {
+        base = last_pushed_.index;
       }
     }
   }
-  if (index == nullptr) {
+  if (pushed.index == nullptr) {
+    pushed.policy = std::make_shared<const RuntimePolicy>(policy);
     if (base != nullptr) {
-      index = PolicyIndex::build_incremental(base, policy, *delta, revision);
+      pushed.index =
+          PolicyIndex::build_incremental(base, policy, *delta, revision);
       mode = "incremental";
     } else {
-      index = PolicyIndex::build(policy, revision);
+      pushed.index = PolicyIndex::build(policy, revision);
     }
   }
   {
     std::lock_guard<std::mutex> lock(revision_mu_);
     last_pushed_digest_ = digest;
-    last_pushed_index_ = index;
+    last_pushed_ = pushed;
   }
   if (metrics_) {
     metrics_->counter("cia_policy_index_builds_total", {{"mode", mode}}).inc();
@@ -268,16 +257,17 @@ Status VerifierPool::push_revision(const std::vector<std::string>& agent_ids,
           .inc(delta->entry_count());
     }
   }
-  for (const std::string& id : agent_ids) {
-    Shard& shard = *shard_ptr(owner_of(id));
-    std::lock_guard<std::mutex> lock(shard.mailbox_mu);
-    shard.mailbox.push_back({id, policy, index});
-  }
+  enqueue_policy(agent_ids, pushed);
   return Status::ok_status();
 }
 
-Status VerifierPool::set_fleet_policy(const RuntimePolicy& policy) {
-  return set_policy_bulk(agent_ids(), policy);
+void VerifierPool::enqueue_policy(const std::vector<std::string>& agent_ids,
+                                  const InstalledPolicy& policy) {
+  for (const std::string& id : agent_ids) {
+    Shard& shard = *shard_ptr(owner_of(id));
+    std::lock_guard<std::mutex> lock(shard.mailbox_mu);
+    shard.mailbox.push_back({id, policy});
+  }
 }
 
 std::uint64_t VerifierPool::policy_revision() const {
@@ -285,15 +275,39 @@ std::uint64_t VerifierPool::policy_revision() const {
   return revision_;
 }
 
-std::uint64_t VerifierPool::policy_revision_of(
+const Verifier& VerifierPool::owner_verifier(
     const std::string& agent_id) const {
   const std::size_t s = owner_of(agent_id);
-  const Verifier* v;
-  {
-    std::lock_guard<std::mutex> lock(ring_mu_);
-    v = &shards_[s]->verifier;
+  std::lock_guard<std::mutex> lock(ring_mu_);
+  return shards_[s]->verifier;
+}
+
+std::uint64_t VerifierPool::policy_revision_of(
+    const std::string& agent_id) const {
+  return owner_verifier(agent_id).policy_revision_of(agent_id);
+}
+
+std::vector<std::string> VerifierPool::enrolment_faults() const {
+  std::map<std::string, std::vector<std::size_t>> holders;
+  for (const auto& shard : shards_) {
+    for (const std::string& id : shard->verifier.agent_ids()) {
+      holders[id].push_back(shard->index);
+    }
   }
-  return v->policy_revision_of(agent_id);
+  std::lock_guard<std::mutex> lock(owners_mu_);
+  for (const auto& routed : owners_) holders[routed.first];  // maybe unheld
+  std::vector<std::string> faults;
+  for (const auto& [id, shards] : holders) {
+    const auto owner = owners_.find(id);
+    if (owner == owners_.end()) {
+      faults.push_back(id + " is enrolled on a shard but not routed");
+    } else if (shards.size() != 1 || shards.front() != owner->second) {
+      faults.push_back(strformat("%s is routed to shard %zu but enrolled on "
+                                 "%zu shards",
+                                 id.c_str(), owner->second, shards.size()));
+    }
+  }
+  return faults;
 }
 
 void VerifierPool::set_fleet_faults(const netsim::FaultProfile& faults) {
@@ -315,8 +329,8 @@ void VerifierPool::apply_pending(Shard& shard) {
   for (PendingPolicy& p : pending) {
     // The swap itself is copy-on-write: an appraisal that already
     // snapshotted the old index keeps it alive through its shared_ptr.
-    Status st = shard.verifier.set_indexed_policy(
-        p.agent_id, std::move(p.policy), std::move(p.index));
+    Status st = shard.verifier.install_policy(
+        p.agent_id, std::move(p.policy.policy), std::move(p.policy.index));
     if (!st.ok()) {
       CIA_LOG_WARN("pool", "policy swap for " + p.agent_id +
                                " failed: " + st.error().message);
@@ -523,13 +537,7 @@ void VerifierPool::use_telemetry(telemetry::MetricsRegistry* metrics) {
 
 std::optional<AgentState> VerifierPool::state(
     const std::string& agent_id) const {
-  const std::size_t s = owner_of(agent_id);
-  const Verifier* v;
-  {
-    std::lock_guard<std::mutex> lock(ring_mu_);
-    v = &shards_[s]->verifier;
-  }
-  return v->state(agent_id);
+  return owner_verifier(agent_id).state(agent_id);
 }
 
 Status VerifierPool::resolve_failure(const std::string& agent_id) {
@@ -572,12 +580,15 @@ Status VerifierPool::unenroll(const std::string& agent_id) {
       return err(Errc::kNotFound, "unenroll: unknown agent " + agent_id);
     }
     s = it->second;
-    owners_.erase(it);
   }
   Shard& shard = *shard_ptr(s);
   const std::optional<std::string> addr =
       shard.verifier.agent_address(agent_id);
-  shard.verifier.remove_agent(agent_id);
+  if (Status st = shard.verifier.remove_agent(agent_id); !st.ok()) return st;
+  {
+    std::lock_guard<std::mutex> lock(owners_mu_);
+    owners_.erase(agent_id);
+  }
   shard.scheduler.remove(agent_id);
   if (addr) shard.network.detach(*addr);
   if (metrics_) {
@@ -594,6 +605,9 @@ Status VerifierPool::resize(std::size_t new_shards) {
   std::lock_guard<std::mutex> drive(drive_mu_);
   if (new_shards == 0) new_shards = 1;
   if (new_shards == active_shards_) return Status::ok_status();
+  // Queued pushes land on their current owners first, so a moved agent
+  // carries its newest policy with it.
+  for (auto& shard : shards_) apply_pending(*shard);
 
   if (new_shards > shards_.size()) {
     // Construct the additional shards with the constructor's exact seed
@@ -686,6 +700,9 @@ VerifierPool::MigrationResult VerifierPool::migrate_agent(
                              " failed: " + slice.error().message);
     return MigrationResult::kFailed;
   }
+  // The installed pair moves in-process, like the enrolment record: the
+  // slice's policy JSON only ever yields an unrevisioned copy.
+  const InstalledPolicy policy = *src.verifier.installed_policy(agent_id);
   const std::optional<std::string> addr =
       src.verifier.agent_address(agent_id);
 
@@ -728,19 +745,41 @@ VerifierPool::MigrationResult VerifierPool::migrate_agent(
     }
   }
 
-  const auto commit_move = [&] {
-    if (addr) move_endpoint(src, dst, *addr);
-    src.verifier.remove_agent(agent_id);
+  // Withdraw the destination's copy of the agent, if it holds one.
+  const auto withdraw = [&] {
+    dst.scheduler.remove(agent_id);
+    return dst.verifier.remove_agent(agent_id).ok();
+  };
+  // Commit on the destination: install the source's policy pair, then
+  // release the source. A failure at either step fails the handoff — the
+  // destination copy is withdrawn and routing stays on the source — so
+  // an agent is never left enrolled on two shards.
+  const auto commit_move = [&]() -> bool {
+    Status st = dst.verifier.install_policy(agent_id, policy.policy,
+                                            policy.index);
+    if (st.ok()) st = src.verifier.remove_agent(agent_id);
+    if (!st.ok()) {
+      if (metrics_) {
+        metrics_->counter("cia_pool_migration_commit_failures_total", {})
+            .inc();
+      }
+      CIA_LOG_WARN("pool", "migration commit for " + agent_id +
+                               " failed: " + st.error().message);
+      withdraw();
+      return false;
+    }
     src.scheduler.remove(agent_id);
     {
       std::lock_guard<std::mutex> lock(owners_mu_);
       owners_[agent_id] = dst_idx;
     }
     ++handoffs_[agent_id];
+    return true;
   };
 
   if (delivered) {
-    commit_move();
+    if (!commit_move()) return MigrationResult::kFailed;
+    if (addr) move_endpoint(src, dst, *addr);
     if (metrics_) {
       metrics_
           ->histogram("cia_pool_migration_bytes", {},
@@ -768,34 +807,24 @@ VerifierPool::MigrationResult VerifierPool::migrate_agent(
   // The endpoint must be reachable on the destination network before
   // add_agent probes it.
   move_endpoint(src, dst, *addr);
-  bool enrolled = false;
   for (std::size_t attempt = 0; attempt < config_.migration_attempts;
        ++attempt) {
-    Status st = dst.verifier.add_agent(agent_id, *addr);
-    // kAlreadyExists: a handoff attempt WAS applied on the destination
-    // but every acknowledgement back to us was lost or tampered. The
-    // imported state is complete — keep it.
-    if (st.ok() || st.error().code == Errc::kAlreadyExists) {
-      enrolled = true;
-      break;
-    }
-  }
-  if (enrolled) {
+    // add_agent replaces whatever a handoff whose every acknowledgement
+    // was lost left on the destination.
+    if (!dst.verifier.add_agent(agent_id, *addr).ok()) continue;
     dst.verifier.seed_audit_tail(agent_id, tail);
     dst.scheduler.enroll(agent_id);
-    src.verifier.remove_agent(agent_id);
-    src.scheduler.remove(agent_id);
-    {
-      std::lock_guard<std::mutex> lock(owners_mu_);
-      owners_[agent_id] = dst_idx;
-    }
-    ++handoffs_[agent_id];
-    return MigrationResult::kFallback;
+    if (commit_move()) return MigrationResult::kFallback;
+    break;
   }
 
-  // Even the fallback failed: put the endpoint back and leave the agent
-  // on its source shard. owners_ tracks actual assignment, so routing
-  // stays correct and the next resize retries the move.
+  // Even the fallback failed: withdraw any copy a handoff whose every
+  // acknowledgement was lost left on the destination, put the endpoint
+  // back and leave the agent on its source shard. owners_ tracks actual
+  // assignment, so routing stays correct and the next resize retries.
+  if (withdraw()) {
+    CIA_LOG_WARN("pool", "withdrew an unacknowledged handoff of " + agent_id);
+  }
   move_endpoint(dst, src, *addr);
   CIA_LOG_WARN("pool", "migration of " + agent_id + " to shard " +
                            std::to_string(dst_idx) +

@@ -22,11 +22,14 @@
 //     so the telemetry snapshot of a run is byte-identical for a fixed
 //     (seed, shard count).
 //
-// Policy updates are copy-on-write: set_policy_bulk builds ONE
-// PolicyIndex for the new revision, enqueues the swap into each owning
-// shard's mailbox, and the shard worker applies it at its next batch
-// boundary. A batch that started under the old revision keeps its
-// shared_ptr snapshot — a mid-round update never tears a lookup.
+// Policy updates are copy-on-write: every push builds ONE shared
+// (RuntimePolicy, PolicyIndex) pair for the new revision, enqueues that
+// same pair into each owning shard's mailbox, and the shard worker
+// installs it at its next batch boundary. A batch that started under the
+// old revision keeps its shared_ptr snapshot — a mid-round update never
+// tears a lookup. A live migration hands the agent's installed pair to
+// its new shard in-process, so a resize never changes what revision an
+// agent is appraised under.
 //
 // Between rounds the driver thread may freely inspect shards (verifier,
 // audit chain, network stats); during advance_to()/run_round() only the
@@ -135,13 +138,15 @@ class VerifierPool : public PolicySink {
   /// Resize the ring to `new_shards` active shards and live-migrate
   /// exactly the ring-moved agents to their new owners. Waits for any
   /// in-flight round to drain at the round boundary before touching
-  /// topology. Each moved agent's verification state (log cursor, audit
-  /// sub-chain tail, staleness counters, polling schedule) travels in a
-  /// HandoffPayload over the pool's dedicated handoff network; a handoff
-  /// that keeps failing under injected faults falls back to clean
-  /// re-enrollment of that one agent on the destination, and if even
-  /// that fails the agent simply stays on its old shard until the next
-  /// resize — never a wedged shard, never a forked audit chain.
+  /// topology, and installs every queued policy push first. Each moved
+  /// agent's verification state (log cursor, audit sub-chain tail,
+  /// staleness counters, polling schedule) travels in a HandoffPayload
+  /// over the pool's dedicated handoff network; its installed policy
+  /// pair moves in-process on commit. A handoff that keeps failing under
+  /// injected faults falls back to clean re-enrollment of that one agent
+  /// on the destination (still with its policy pair), and if even that
+  /// fails the agent simply stays on its old shard until the next resize
+  /// — never a wedged shard, never a forked audit chain.
   Status resize(std::size_t new_shards);
 
   /// Fault profile for the shard-to-shard handoff links (chaos testing
@@ -165,17 +170,13 @@ class VerifierPool : public PolicySink {
   // Thread-safe (mailbox + copy-on-write index swap); may be called
   // while a round is in flight.
 
-  /// PolicySink: route one agent's policy to its owning shard. Builds a
-  /// fresh PolicyIndex revision for the agent.
+  /// PolicySink: set_policy_bulk for one agent.
   Status set_policy(const std::string& agent_id, RuntimePolicy policy) override;
 
-  /// One shared PolicyIndex for the whole batch — built once per policy
+  /// One shared policy pair for the whole batch — built once per policy
   /// revision, shared read-only by every covered agent on every shard.
   Status set_policy_bulk(const std::vector<std::string>& agent_ids,
                          const RuntimePolicy& policy) override;
-
-  /// set_policy_bulk over every enrolled agent.
-  Status set_fleet_policy(const RuntimePolicy& policy);
 
   /// Content-addressed push. Three cost tiers, cheapest first:
   ///   * `digest` equals the last revision pushed through here — the
@@ -195,9 +196,15 @@ class VerifierPool : public PolicySink {
   /// Policy revisions built so far (each bulk/single push is one).
   std::uint64_t policy_revision() const;
 
-  /// The agent's installed PolicyIndex revision (0 when none/unknown).
+  /// The agent's installed PolicyIndex revision (0 when unknown).
   /// Driver thread, between rounds.
   std::uint64_t policy_revision_of(const std::string& agent_id) const;
+
+  /// Enrolment consistency: every agent the pool routes must be enrolled
+  /// on exactly one shard verifier (its owner), and no shard may hold an
+  /// agent the pool does not route. Returns one line per broken agent,
+  /// empty when the fleet is consistent. Driver thread, between rounds.
+  std::vector<std::string> enrolment_faults() const;
 
   // -------------------------------------------------- faults and chaos
 
@@ -278,8 +285,7 @@ class VerifierPool : public PolicySink {
  private:
   struct PendingPolicy {
     std::string agent_id;
-    RuntimePolicy policy;
-    std::shared_ptr<const PolicyIndex> index;
+    InstalledPolicy policy;
   };
 
   struct Shard {
@@ -333,6 +339,10 @@ class VerifierPool : public PolicySink {
                          const Bytes& payload) override;
   };
 
+  /// Queue one shared policy pair for each listed agent on its owning
+  /// shard — the single enqueue every push path goes through.
+  void enqueue_policy(const std::vector<std::string>& agent_ids,
+                      const InstalledPolicy& policy);
   void apply_pending(Shard& shard);
   void record_batch(Shard& shard, std::size_t batch_size, SimTime started);
 
@@ -353,6 +363,7 @@ class VerifierPool : public PolicySink {
   /// The actual shard assignment of an enrolled agent; falls back to the
   /// ring for unknown ids.
   std::size_t owner_of(const std::string& agent_id) const;
+  const Verifier& owner_verifier(const std::string& agent_id) const;
 
   /// Fetch a shard pointer under the topology lock (safe against a
   /// concurrent resize growing shards_).
@@ -391,10 +402,10 @@ class VerifierPool : public PolicySink {
   mutable std::mutex revision_mu_;
   std::uint64_t revision_ = 0;
   /// Last revision pushed through push_revision(): its content digest
-  /// and shared index, the base the next delta push patches. Guarded by
-  /// revision_mu_; cleared by digest-less pushes.
+  /// and shared pair, whose index is the base the next delta push
+  /// patches. Guarded by revision_mu_; cleared by digest-less pushes.
   std::string last_pushed_digest_;
-  std::shared_ptr<const PolicyIndex> last_pushed_index_;
+  InstalledPolicy last_pushed_;
 
   /// Dedicated shard-to-shard handoff fabric with its own virtual clock:
   /// migration latency and injected handoff faults never touch shard

@@ -1,5 +1,6 @@
 #include "scenario/runner.hpp"
 
+#include <initializer_list>
 #include <utility>
 
 #include "common/strutil.hpp"
@@ -38,19 +39,50 @@ std::size_t other_shard_count(std::size_t shards) {
   return shards == 3 ? 8 : 3;
 }
 
-/// Diff two per-agent digest maps; empty string == identical.
-std::string digest_drift(const std::map<std::string, std::string>& a,
-                         const std::map<std::string, std::string>& b) {
-  for (const auto& [id, digest] : a) {
+/// Diff two per-agent maps (chain digests, policy revisions); empty
+/// string == identical.
+template <typename Value>
+std::string per_agent_drift(const std::map<std::string, Value>& a,
+                            const std::map<std::string, Value>& b,
+                            const char* what) {
+  for (const auto& [id, value] : a) {
     auto it = b.find(id);
     if (it == b.end()) return id + " missing from comparison run";
-    if (it->second != digest) return id + " chain digest mismatch";
+    if (it->second != value) return id + " " + what + " mismatch";
   }
-  for (const auto& [id, digest] : b) {
-    (void)digest;
+  for (const auto& [id, value] : b) {
+    (void)value;
     if (!a.count(id)) return id + " missing from primary run";
   }
   return "";
+}
+
+/// Apply the scenario's fault section fleet-wide (no-op when empty).
+void apply_fleet_faults(const Scenario& sc, PoolFleet& fleet) {
+  if (!sc.faults.any()) return;
+  netsim::FaultProfile faults;
+  faults.drop_rate = sc.faults.drop_rate;
+  faults.timeout_rate = sc.faults.timeout_rate;
+  faults.duplicate_rate = sc.faults.duplicate_rate;
+  faults.timeout_latency = sc.faults.timeout_latency;
+  fleet.pool().set_fleet_faults(faults);
+}
+
+/// The single-enrolment invariant (every agent on exactly one shard after
+/// every resize and leave) over the fault lists of each run a check drove.
+void add_enrolment_check(
+    ScenarioOutcome& out,
+    std::initializer_list<const std::vector<std::string>*> runs) {
+  std::string fault;
+  for (const auto* faults : runs) {
+    if (fault.empty() && !faults->empty()) fault = faults->front();
+  }
+  add_check(out, "single_enrolment", fault.empty(),
+            fault.empty() ? strformat("every agent on exactly one shard "
+                                      "after each resize and leave in %zu "
+                                      "runs",
+                                      runs.size())
+                          : fault);
 }
 
 Result<ScenarioOutcome> run_storm(const Scenario& sc,
@@ -145,6 +177,9 @@ Result<ScenarioOutcome> run_storm(const Scenario& sc,
                   ? strformat("added resize to %zu shards at storm round %zu",
                               toggled.resize_shards, toggled.resize_round)
                   : "removed the scheduled mid-storm resize");
+    add_enrolment_check(out, {&report.enrolment_faults,
+                              &other.enrolment_faults,
+                              &resized.enrolment_faults});
   }
   return out;
 }
@@ -158,6 +193,7 @@ Result<ScenarioOutcome> run_churn(const Scenario& sc,
   struct ChurnRun {
     ChurnReport report;
     std::map<std::string, std::string> digests;
+    std::map<std::string, std::uint64_t> revisions;  // final, per agent
     keylime::VerifierPool::MigrationStats migration;
     std::size_t active_shards = 0;
     std::size_t allocated_shards = 0;
@@ -172,20 +208,16 @@ Result<ScenarioOutcome> run_churn(const Scenario& sc,
     PoolFleet fleet(fo);
     if (!fleet.init_status().ok()) return fleet.init_status().error();
     if (Status s = fleet.push_fleet_policy(); !s.ok()) return s.error();
-    if (sc.faults.any()) {
-      netsim::FaultProfile faults;
-      faults.drop_rate = sc.faults.drop_rate;
-      faults.timeout_rate = sc.faults.timeout_rate;
-      faults.duplicate_rate = sc.faults.duplicate_rate;
-      faults.timeout_latency = sc.faults.timeout_latency;
-      fleet.pool().set_fleet_faults(faults);
-    }
+    apply_fleet_faults(sc, fleet);
     ChurnCampaignOptions co = campaign;
     co.resize_at = resizes;
     ChurnRun result;
     result.report = run_churn_campaign(fleet, co);
     if (!result.report.status.ok()) return result.report.status.error();
     result.digests = per_agent_chain_digests(fleet.pool());
+    for (const std::string& id : fleet.agent_ids()) {
+      result.revisions[id] = fleet.pool().policy_revision_of(id);
+    }
     result.migration = fleet.pool().migration_stats();
     result.active_shards = fleet.pool().active_shard_count();
     result.allocated_shards = fleet.pool().shard_count();
@@ -221,13 +253,26 @@ Result<ScenarioOutcome> run_churn(const Scenario& sc,
     auto baseline = run({}, nullptr);
     if (!baseline.ok()) return baseline.error();
     const std::string drift =
-        digest_drift(pr.digests, baseline.value().digests);
+        per_agent_drift(pr.digests, baseline.value().digests, "chain digest");
     add_check(out, "no_resize_drift", drift.empty(),
               drift.empty()
                   ? strformat("%zu agent chains identical vs no-resize "
                               "baseline",
                               pr.digests.size())
                   : drift);
+
+    // A migration hands the agent's installed policy over with it: every
+    // agent ends on the revision it holds without any resize.
+    const ChurnRun& br = baseline.value();
+    const std::string revision_drift =
+        per_agent_drift(pr.revisions, br.revisions, "policy revision");
+    add_check(out, "policy_revision_resize_invariant", revision_drift.empty(),
+              revision_drift.empty()
+                  ? strformat("%zu agents on their no-resize revision",
+                              pr.revisions.size())
+                  : revision_drift);
+    add_enrolment_check(out, {&pr.report.enrolment_faults,
+                              &br.report.enrolment_faults});
   }
   return out;
 }
@@ -285,14 +330,7 @@ Result<ScenarioOutcome> run_fleet(const Scenario& sc,
     } else if (Status s = fleet.push_fleet_policy(); !s.ok()) {
       return s.error();
     }
-    if (sc.faults.any()) {
-      netsim::FaultProfile faults;
-      faults.drop_rate = sc.faults.drop_rate;
-      faults.timeout_rate = sc.faults.timeout_rate;
-      faults.duplicate_rate = sc.faults.duplicate_rate;
-      faults.timeout_latency = sc.faults.timeout_latency;
-      fleet.pool().set_fleet_faults(faults);
-    }
+    apply_fleet_faults(sc, fleet);
     FleetRun result;
     for (std::int64_t round = 0; round < sc.fleet_run.rounds; ++round) {
       fleet.run_workload_round(static_cast<std::uint64_t>(round));
@@ -368,7 +406,8 @@ Result<ScenarioOutcome> run_fleet(const Scenario& sc,
                      nullptr);
     if (!other.ok()) return other.error();
     const FleetRun& orun = other.value();
-    const std::string drift = digest_drift(pr.digests, orun.digests);
+    const std::string drift =
+        per_agent_drift(pr.digests, orun.digests, "chain digest");
     add_check(out, "partition_invariance",
               drift.empty() && orun.rollout_state == pr.rollout_state &&
                   orun.canary == pr.canary,

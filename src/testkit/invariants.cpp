@@ -16,6 +16,7 @@
 #include "keylime/registrar.hpp"
 #include "keylime/runtime_policy.hpp"
 #include "keylime/verifier.hpp"
+#include "keylime/verifier_pool.hpp"
 #include "netsim/network.hpp"
 #include "netsim/transport.hpp"
 #include "oskernel/machine.hpp"
@@ -314,6 +315,15 @@ std::vector<InvariantViolation> check_cross_shard_audit_chains(
         break;
       }
     }
+  }
+  return violations;
+}
+
+std::vector<InvariantViolation> check_single_enrolment(
+    const keylime::VerifierPool& pool) {
+  std::vector<InvariantViolation> violations;
+  for (std::string& fault : pool.enrolment_faults()) {
+    violations.push_back({"single_enrolment", 0, std::move(fault)});
   }
   return violations;
 }

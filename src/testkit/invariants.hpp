@@ -29,6 +29,10 @@
 
 #include "keylime/audit.hpp"
 
+namespace cia::keylime {
+class VerifierPool;
+}  // namespace cia::keylime
+
 namespace cia::testkit {
 
 struct InvariantOptions {
@@ -80,5 +84,14 @@ InvariantReport check_invariants(const InvariantOptions& options = {});
 /// "cross_shard_chain").
 std::vector<InvariantViolation> check_cross_shard_audit_chains(
     const std::vector<const keylime::AuditLog*>& logs);
+
+/// Single-enrolment rule for sharded pools, to assert after every resize
+/// and every leave: each agent the pool routes is enrolled on exactly one
+/// shard verifier — its owner — and no shard still holds an agent the
+/// pool no longer routes. A migration that committed on both sides, or
+/// a leave whose removal failed, shows up here. Returns one violation
+/// per broken agent (invariant "single_enrolment").
+std::vector<InvariantViolation> check_single_enrolment(
+    const keylime::VerifierPool& pool);
 
 }  // namespace cia::testkit

@@ -224,9 +224,10 @@ struct OrchestratorFixture : ::testing::Test {
 TEST_F(OrchestratorFixture, BootstrapInstallsBasePolicy) {
   ASSERT_TRUE(orchestrator->bootstrap().ok());
   EXPECT_GT(orchestrator->policy().entry_count(), 1000u);
-  const auto* installed = bed.verifier.policy(bed.agent_id());
+  const auto* installed = bed.verifier.installed_policy(bed.agent_id());
   ASSERT_NE(installed, nullptr);
-  EXPECT_EQ(installed->entry_count(), orchestrator->policy().entry_count());
+  EXPECT_EQ(installed->policy->entry_count(),
+            orchestrator->policy().entry_count());
 }
 
 TEST_F(OrchestratorFixture, BootstrapWithoutNodesFails) {

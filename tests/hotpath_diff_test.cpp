@@ -13,12 +13,16 @@
 //     with shrink-on-failure minimizing any offending path;
 //   * alert parity, end-to-end: two verifiers attest the SAME agent over
 //     the same workload (P1-style /tmp implants, modified binaries,
-//     unknown files, reboot re-measurement), one on the indexed+cached
-//     fast path and one on the plain linear path; their rounds and full
-//     alert streams must render byte-identically, under both P2 failure
-//     semantics.
+//     unknown files, reboot re-measurement), one with the verdict cache
+//     and one without; their rounds and full alert streams must render
+//     byte-identically, under both P2 failure semantics. The verifier no
+//     longer has a linear appraisal path, so the linear verifier's
+//     round-by-round transcripts were captured once as golden files
+//     (tests/golden/hotpath/) and the cached side is pinned to them.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -196,17 +200,44 @@ std::string render_alerts(const std::vector<keylime::Alert>& alerts) {
   return out;
 }
 
-// Two verifiers — fast (indexed policy + verdict cache) and slow (plain
-// linear RuntimePolicy) — attesting one real agent over one workload.
+// One round of a transcript: the round's verdict fields, its alerts, and
+// the unevaluated backlog it leaves behind.
+std::string render_round(const keylime::AttestationRound& round,
+                         std::size_t pending) {
+  return "round new=" + std::to_string(round.new_entries) +
+         " evaluated=" + std::to_string(round.evaluated) + " state=" +
+         (round.state == keylime::AgentState::kFailed ? "failed"
+                                                      : "attesting") +
+         " reboot=" + (round.reboot_detected ? "1" : "0") +
+         " pending=" + std::to_string(pending) + "\n" +
+         render_alerts(round.alerts);
+}
+
+// The checked-in transcript the linear verifier produced for a workload.
+std::string golden_transcript(const std::string& name) {
+  const std::string path = std::string(CIA_GOLDEN_DIR) + "/hotpath/" + name;
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing golden file " << path;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+keylime::VerifierConfig failure_semantics(bool continue_on_failure) {
+  keylime::VerifierConfig config;
+  config.continue_on_failure = continue_on_failure;
+  return config;
+}
+
+// Two verifiers attesting one real agent over one workload, both on the
+// indexed path: fast with the verdict cache, slow without.
 struct DiffRig {
   explicit DiffRig(bool continue_on_failure)
       : ca("mfg", to_bytes("diff-seed")),
         network(&clock, 1),
         registrar(&network, &clock, 2),
-        fast(&network, &clock, 3,
-             keylime::VerifierConfig{continue_on_failure}),
-        slow(&network, &clock, 4,
-             keylime::VerifierConfig{continue_on_failure}) {
+        fast(&network, &clock, 3, failure_semantics(continue_on_failure)),
+        slow(&network, &clock, 4, failure_semantics(continue_on_failure)) {
     registrar.trust_manufacturer(ca.public_key());
     oskernel::MachineConfig cfg;
     cfg.hostname = "diff-node";
@@ -221,13 +252,12 @@ struct DiffRig {
 
   void install_policy(const RuntimePolicy& policy) {
     ASSERT_TRUE(slow.set_policy("diff-node", policy).ok());
-    ASSERT_TRUE(
-        fast.set_indexed_policy("diff-node", policy, PolicyIndex::build(policy))
-            .ok());
+    ASSERT_TRUE(fast.set_policy("diff-node", policy).ok());
   }
 
   // Attest on both stacks (no clock movement in between, so alert
-  // timestamps line up) and require identical round results.
+  // timestamps line up), require identical round results, and append
+  // the fast side's round to the transcript.
   void attest_and_compare() {
     auto fast_round = fast.attest_once("diff-node");
     auto slow_round = slow.attest_once("diff-node");
@@ -243,6 +273,7 @@ struct DiffRig {
     EXPECT_EQ(render_alerts(fast.alerts()), render_alerts(slow.alerts()));
     EXPECT_EQ(fast.pending_entries("diff-node"),
               slow.pending_entries("diff-node"));
+    transcript += render_round(f, fast.pending_entries("diff-node"));
   }
 
   SimClock clock;
@@ -254,6 +285,7 @@ struct DiffRig {
   keylime::AppraisalCache cache;
   std::unique_ptr<oskernel::Machine> machine;
   std::unique_ptr<keylime::Agent> agent;
+  std::string transcript;
 };
 
 // Returns the fast verifier's rendered alert stream so callers can also
@@ -319,6 +351,9 @@ void run_workload_parity(bool continue_on_failure,
   rig.attest_and_compare();  // steady state / backlog drain
   EXPECT_GT(rig.cache.stats().hits, 0u)
       << "reboot re-appraisal should hit the verdict cache";
+  EXPECT_EQ(rig.transcript,
+            golden_transcript(continue_on_failure ? "continue.txt"
+                                                  : "stock.txt"));
   if (rendered_out) *rendered_out = render_alerts(rig.fast.alerts());
 }
 
@@ -476,6 +511,7 @@ TEST(HotpathEndToEnd, LaneBoundaryLogSizes) {
     rig.attest_and_compare();  // backlog drain after the halt
     EXPECT_EQ(rig.fast.pending_entries("diff-node"), 0u);
   }
+  EXPECT_EQ(rig.transcript, golden_transcript("lane_boundary.txt"));
 }
 
 }  // namespace

@@ -241,7 +241,9 @@ TEST_F(Rig, StopOnFailureLeavesLogPartiallyEvaluated) {
 }
 
 TEST_F(Rig, ContinueOnFailureEvaluatesWholeLog) {
-  Verifier tolerant(&network, &clock, 10, VerifierConfig{.continue_on_failure = true});
+  VerifierConfig config;
+  config.continue_on_failure = true;
+  Verifier tolerant(&network, &clock, 10, config);
   ASSERT_TRUE(agent.register_with(Registrar::address()).ok());
   ASSERT_TRUE(tolerant.add_agent("node0", agent.address()).ok());
   ASSERT_TRUE(tolerant.set_policy("node0", baseline_policy()).ok());

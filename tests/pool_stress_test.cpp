@@ -55,13 +55,14 @@ TEST(PoolStressTest, ChaoticFleetWithConcurrentPolicyPushes) {
   constexpr std::size_t kPushes = 5;
 
   // A tenant keeps re-pushing the fleet policy while rounds are in
-  // flight: set_fleet_policy must be safe against the shard workers
+  // flight: set_policy_bulk must be safe against the shard workers
   // (mailbox mutex + COW index swap), which is exactly what TSan checks.
   std::atomic<bool> done{false};
   keylime::RuntimePolicy policy = fleet.fleet_policy();
   std::thread pusher([&] {
     for (std::size_t p = 0; p < kPushes; ++p) {
-      ASSERT_TRUE(fleet.pool().set_fleet_policy(policy).ok());
+      ASSERT_TRUE(
+          fleet.pool().set_policy_bulk(fleet.pool().agent_ids(), policy).ok());
       std::this_thread::yield();
     }
     done.store(true);
@@ -183,7 +184,8 @@ TEST(PoolStressTest, RevocationFanOutDrainsAtRoundBoundaries) {
   keylime::RuntimePolicy policy = fleet.fleet_policy();
   std::thread pusher([&] {
     for (std::size_t p = 0; p < 4; ++p) {
-      ASSERT_TRUE(fleet.pool().set_fleet_policy(policy).ok());
+      ASSERT_TRUE(
+          fleet.pool().set_policy_bulk(fleet.pool().agent_ids(), policy).ok());
       std::this_thread::yield();
     }
     done.store(true);
@@ -275,7 +277,8 @@ TEST(PoolStressTest, ResizeDrainsInFlightRoundsBeforeTouchingTopology) {
   for (std::size_t round = 0; round < 3; ++round) {
     fleet.run_workload_round(round);
     fleet.pool().run_round();
-    ASSERT_TRUE(fleet.pool().set_fleet_policy(policy).ok());
+    ASSERT_TRUE(
+        fleet.pool().set_policy_bulk(fleet.pool().agent_ids(), policy).ok());
   }
   resizer.join();
   ASSERT_TRUE(done.load());

@@ -194,7 +194,8 @@ TEST(PoolPolicyTest, CowSwapAppliesAtTheNextBatchBoundary) {
   }
   keylime::RuntimePolicy updated = fleet.fleet_policy();
   updated.allow("/usr/bin/rolled-out", crypto::sha256(std::string("elf:new")));
-  ASSERT_TRUE(fleet.pool().set_fleet_policy(updated).ok());
+  ASSERT_TRUE(
+      fleet.pool().set_policy_bulk(fleet.pool().agent_ids(), updated).ok());
   EXPECT_EQ(fleet.pool().policy_revision(), 2u);
 
   fleet.pool().run_round();
@@ -483,6 +484,113 @@ TEST(PoolReshardTest, HandoffFaultsNeverWedgeOrForkAChain) {
   EXPECT_TRUE(violations.empty())
       << violations.size() << " broken sub-chains, first: "
       << (violations.empty() ? "" : violations.front().detail);
+}
+
+// A live migration hands the agent's installed policy pair to its new
+// shard: the revision an agent is appraised under never depends on
+// whether a resize moved it.
+TEST(PoolReshardTest, HandoffKeepsEachAgentsPolicyRevision) {
+  PoolFleetOptions options;
+  options.agents = 16;
+  options.shards = 2;
+  options.seed = 41;
+  PoolFleet fleet(options);
+  ASSERT_TRUE(fleet.init_status().ok());
+  ASSERT_TRUE(fleet.push_fleet_policy().ok());
+  fleet.run_workload_round(0);
+  fleet.pool().run_round();
+  const std::uint64_t pushed = fleet.pool().policy_revision();
+
+  ASSERT_TRUE(fleet.pool().resize(3).ok());
+  EXPECT_GT(fleet.pool().migration_stats().ok, 0u);
+  EXPECT_EQ(fleet.pool().migration_stats().fallback, 0u);
+  for (const std::string& id : fleet.agent_ids()) {
+    EXPECT_EQ(fleet.pool().policy_revision_of(id), pushed) << id;
+  }
+  EXPECT_TRUE(testkit::check_single_enrolment(fleet.pool()).empty());
+
+  // Every agent runs one unknown binary: each alert names the pushed
+  // revision, moved agents included.
+  for (std::size_t i = 0; i < options.agents; ++i) fleet.exec_unknown(i);
+  fleet.pool().run_round();
+  const std::vector<keylime::Alert> alerts = fleet.pool().alerts();
+  ASSERT_EQ(alerts.size(), options.agents);
+  for (const keylime::Alert& a : alerts) {
+    EXPECT_EQ(a.type, keylime::AlertType::kNotInPolicy) << a.agent_id;
+    EXPECT_EQ(a.policy_revision, pushed) << a.agent_id;
+  }
+}
+
+// When every handoff is lost the fallback re-enrols the moved agents on
+// their new shards — still under the fleet policy, so a clean image
+// stays clean.
+TEST(PoolReshardTest, FallbackReenrolmentKeepsThePolicy) {
+  PoolFleetOptions options;
+  options.agents = 16;
+  options.shards = 2;
+  options.seed = 43;
+  PoolFleet fleet(options);
+  ASSERT_TRUE(fleet.init_status().ok());
+  ASSERT_TRUE(fleet.push_fleet_policy().ok());
+  fleet.run_workload_round(0);
+  fleet.pool().run_round();
+  const std::uint64_t pushed = fleet.pool().policy_revision();
+
+  netsim::FaultProfile lost;
+  lost.drop_rate = 1.0;
+  fleet.pool().set_handoff_faults(lost);
+  ASSERT_TRUE(fleet.pool().resize(3).ok());
+  const auto& stats = fleet.pool().migration_stats();
+  EXPECT_GT(stats.fallback, 0u);
+  EXPECT_EQ(stats.ok, 0u);
+  EXPECT_EQ(stats.failed, 0u);
+  EXPECT_TRUE(testkit::check_single_enrolment(fleet.pool()).empty());
+
+  for (std::uint64_t round = 1; round <= 3; ++round) {
+    fleet.run_workload_round(round);
+    fleet.pool().run_round();
+  }
+  const std::vector<keylime::Alert> alerts = fleet.pool().alerts();
+  EXPECT_TRUE(alerts.empty())
+      << alerts.size() << " alerts on a clean image, first: "
+      << (alerts.empty() ? "" : alerts.front().agent_id + " " +
+                                    keylime::alert_type_name(
+                                        alerts.front().type) +
+                                    " " + alerts.front().path);
+  for (const std::string& id : fleet.agent_ids()) {
+    EXPECT_EQ(fleet.pool().policy_revision_of(id), pushed) << id;
+  }
+}
+
+TEST(PoolReshardTest, SingleEnrolmentCheckerFlagsDoubleAndMissingAgents) {
+  PoolFleetOptions options;
+  options.agents = 6;
+  options.shards = 2;
+  options.seed = 47;
+  PoolFleet fleet(options);
+  ASSERT_TRUE(fleet.init_status().ok());
+  keylime::VerifierPool& pool = fleet.pool();
+  EXPECT_TRUE(testkit::check_single_enrolment(pool).empty());
+
+  // A slice committed on both sides — the state a migration that never
+  // released its source would leave.
+  const std::string twice = fleet.agent_ids()[0];
+  const std::size_t owner = pool.shard_for(twice);
+  auto slice = pool.verifier(owner).export_agent(twice);
+  ASSERT_TRUE(slice.ok());
+  ASSERT_TRUE(pool.verifier(1 - owner).import_agent(slice.value()).ok());
+  // And an agent the pool still routes but no shard holds.
+  const std::string missing = fleet.agent_ids()[1];
+  ASSERT_TRUE(
+      pool.verifier(pool.shard_for(missing)).remove_agent(missing).ok());
+
+  const auto violations = testkit::check_single_enrolment(pool);
+  ASSERT_EQ(violations.size(), 2u);
+  for (const auto& v : violations) {
+    EXPECT_EQ(v.invariant, "single_enrolment");
+  }
+  EXPECT_NE(violations[0].detail.find(twice), std::string::npos);
+  EXPECT_NE(violations[1].detail.find(missing), std::string::npos);
 }
 
 TEST(PoolReshardTest, CrossShardCheckerFlagsAForkedSubChain) {

@@ -199,7 +199,7 @@ TEST(ScenarioDifferentialTest, SameFileAndSeedIsDeterministic) {
 TEST(ScenarioDifferentialTest, StormSelfChecksHoldOnTheSmallStorm) {
   const Scenario sc = must_parse(kSmallStorm);
   const ScenarioOutcome outcome = must_run(sc, /*self_check=*/true);
-  ASSERT_EQ(outcome.checks.size(), 5u);
+  ASSERT_EQ(outcome.checks.size(), 6u);
   for (const SelfCheck& check : outcome.checks) {
     EXPECT_TRUE(check.ok) << check.name << ": " << check.detail;
   }
@@ -211,8 +211,8 @@ TEST(ScenarioRolloutTest, StormRolloutRollsBackAndContainsTheBadRevision) {
   const Scenario sc = must_parse(kSmallRolloutStorm);
   const ScenarioOutcome outcome = must_run(sc, /*self_check=*/true);
 
-  // 4 rollout contracts + partition/resize invariance.
-  ASSERT_EQ(outcome.checks.size(), 6u);
+  // 4 rollout contracts + partition/resize invariance + single enrolment.
+  ASSERT_EQ(outcome.checks.size(), 7u);
   for (const SelfCheck& check : outcome.checks) {
     EXPECT_TRUE(check.ok) << check.name << ": " << check.detail;
   }
