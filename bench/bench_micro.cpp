@@ -196,7 +196,8 @@ void BM_QuoteResponseRoundTrip(benchmark::State& state) {
   for (std::size_t i = 0; i < resp.entries.size(); ++i) {
     resp.entries[i].path = "/usr/bin/tool" + std::to_string(i);
     resp.entries[i].file_hash = crypto::sha256(std::to_string(i));
-    resp.entries[i].template_hash = crypto::sha256("t" + std::to_string(i));
+    resp.entries[i].template_hash =
+        crypto::sha256(std::string("t").append(std::to_string(i)));
   }
   resp.total_log_length = 64;
   resp.boot_count = 1;

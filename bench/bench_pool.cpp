@@ -93,8 +93,8 @@ struct FleetBenchResult {
   SimTime virtual_elapsed = 0;
 };
 
-FleetBenchResult bench_fleet(std::size_t shards, std::size_t agents,
-                             std::size_t rounds) {
+FleetBenchResult time_pool_fleet(std::size_t shards, std::size_t agents,
+                                 std::size_t rounds) {
   PoolFleetOptions options;
   options.agents = agents;
   options.shards = shards;
@@ -492,7 +492,7 @@ int main(int argc, char** argv) {
       "   polls/s\n");
   double base_vrate = 0;  // the 1-shard run's, the speedup baseline
   for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-    const FleetBenchResult r = bench_fleet(shards, agents, rounds);
+    const FleetBenchResult r = time_pool_fleet(shards, agents, rounds);
     const double vrate = r.virtual_elapsed > 0
                              ? static_cast<double>(r.polls) / r.virtual_elapsed
                              : 0;

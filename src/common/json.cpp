@@ -195,7 +195,9 @@ void Value::dump_to(std::string& out, int indent, int depth) const {
       break;
     }
     case Type::kString:
-      out += "\"" + escape(string_) + "\"";
+      out += '"';
+      out += escape(string_);
+      out += '"';
       break;
     case Type::kArray: {
       if (array_->empty()) {

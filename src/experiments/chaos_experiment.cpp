@@ -239,9 +239,11 @@ ChaosReport run_chaos_experiment(const ChaosOptions& options) {
             late_agent->register_with(keylime::Registrar::address()).ok()) {
           late_registered = true;
         }
+        // A failed policy install retries next hour; a joiner that never
+        // gets one stays unenrolled and fails liveness.
         if (late_registered &&
-            verifier->add_agent(late_id, late_agent->address()).ok()) {
-          (void)verifier->set_policy(late_id, orchestrator.policy());
+            verifier->add_agent(late_id, late_agent->address()).ok() &&
+            verifier->set_policy(late_id, orchestrator.policy()).ok()) {
           orchestrator.manage({late_machine.get(), late_apt.get(), late_id});
           scheduler.enroll(late_id);
           late_enrolled = true;

@@ -97,7 +97,8 @@ struct ChaosReport {
   bool checkpoint_roundtrip_ok = true;
 };
 
-/// The named fault scripts bench_chaos and cia_chaos iterate over.
+/// The named fault scripts bench_chaos iterates over; each has a
+/// scenarios/chaos-<name>.json file for cia_scenario.
 const std::vector<std::string>& chaos_scenarios();
 
 ChaosReport run_chaos_experiment(const ChaosOptions& options);

@@ -63,7 +63,9 @@ DetectionOutcome run_scenario(attacks::Attack& attack, Scenario scenario,
   if (scenario != Scenario::kMitigated) {
     policy.exclude("/tmp/*");
   }
-  (void)bed.verifier.set_policy(bed.agent_id(), policy);
+  if (!bed.verifier.set_policy(bed.agent_id(), policy).ok()) {
+    return DetectionOutcome::kEvaded;
+  }
 
   // Pre-attack health check: the clean machine must attest green.
   bed.attest();

@@ -22,7 +22,7 @@ FpBaselineResult run_fp_baseline(const FpBaselineOptions& options) {
   // The IBM-style initial policy: a just-in-time scan of the machine's
   // executables (SNAP files appear under their host /snap/... paths).
   keylime::RuntimePolicy policy = scan_machine_policy(bed.machine, true);
-  (void)bed.verifier.set_policy(bed.agent_id(), policy);
+  if (!bed.verifier.set_policy(bed.agent_id(), policy).ok()) return {};
 
   Workload workload(&bed.machine, options.seed ^ 0x776bull);
   pkg::UnattendedUpgrades unattended(&bed.apt, &bed.archive, 6 * kHour);
@@ -62,7 +62,7 @@ FpBaselineResult run_fp_baseline(const FpBaselineOptions& options) {
           }
         }
         resolved_alerts = alerts.size();
-        (void)bed.verifier.set_policy(bed.agent_id(), policy);
+        if (!bed.verifier.set_policy(bed.agent_id(), policy).ok()) return {};
         (void)bed.verifier.resolve_failure(bed.agent_id());
         ++result.operator_interventions;
         bed.attest();

@@ -32,7 +32,7 @@ struct FpBaselineOptions {
 };
 
 struct FpBaselineResult {
-  int days = 0;
+  int days = 0;  // 0 = invalid run: enrolment or a policy install failed
   std::size_t alerts_total = 0;
   std::size_t update_hash_mismatch = 0;   // modified files after updates
   std::size_t update_missing_file = 0;    // files updates introduced

@@ -5,6 +5,7 @@
 #include "common/strutil.hpp"
 #include "crypto/sha256.hpp"
 #include "experiments/testbed.hpp"
+#include "keylime/policy_store/store.hpp"
 
 namespace cia::experiments {
 
@@ -79,8 +80,18 @@ keylime::RuntimePolicy PoolFleet::fleet_policy() const {
   return cached_policy_ ? *cached_policy_ : keylime::RuntimePolicy{};
 }
 
+const std::string& PoolFleet::fleet_digest() const {
+  // Kept once a machine has been scanned. Before that fleet_policy() is
+  // the empty policy, which the first scan replaces.
+  if (fleet_digest_.empty() || !cached_policy_) {
+    fleet_digest_ = keylime::policy_store::policy_digest(fleet_policy());
+  }
+  return fleet_digest_;
+}
+
 Status PoolFleet::push_fleet_policy() {
-  return pool_->set_policy_bulk(pool_->agent_ids(), fleet_policy());
+  return pool_->push_revision(pool_->agent_ids(), fleet_policy(),
+                              fleet_digest(), nullptr);
 }
 
 void PoolFleet::run_workload_round(std::uint64_t round) {
@@ -111,9 +122,15 @@ void PoolFleet::exec_unknown(std::size_t i) {
 Result<std::string> PoolFleet::join_agent() {
   auto id = spawn_agent(next_ordinal_++);
   if (!id.ok()) return id;
-  // Cover the joiner's image with the fleet policy: one fresh revision,
-  // applied at its shard's next batch boundary.
-  if (Status s = pool_->set_policy(id.value(), fleet_policy()); !s.ok()) {
+  // Cover the joiner's image with the fleet policy under its content
+  // digest: while the fleet policy is the head revision, the pool hands
+  // the joiner that revision's (policy, index) pair — no index build,
+  // no copy, the founding agents' revision number. fleet_digest() has
+  // scanned a machine (the joiner's at least), so cached_policy_ is set.
+  const std::string& digest = fleet_digest();
+  if (Status s = pool_->push_revision({id.value()}, *cached_policy_, digest,
+                                      nullptr);
+      !s.ok()) {
     return s.error();
   }
   return id;
@@ -306,16 +323,10 @@ StormReport run_alert_storm(const StormOptions& options) {
   namespace ps = keylime::policy_store;
   std::unique_ptr<ps::RolloutController> rollout;
   if (options.rollout) {
-    // Staged mode: re-push the good policy content-addressed (seeds the
-    // pool's digest cache so the canary delta patches the installed
-    // index in place), then hand the bad revision to the rollout
-    // controller — only the canary slice ever receives it.
-    if (Status st = fleet.pool().push_revision(
-            fleet.agent_ids(), good, ps::policy_digest(good), nullptr);
-        !st.ok()) {
-      report.status = st;
-      return report;
-    }
+    // Staged mode: push_fleet_policy already seeded the pool's digest
+    // cache with the good policy, so the canary delta patches the
+    // installed index in place. Only the canary slice ever receives the
+    // bad revision.
     rollout =
         std::make_unique<ps::RolloutController>(&fleet.pool(), *options.rollout);
     rollout->use_telemetry(options.metrics);

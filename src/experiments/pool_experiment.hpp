@@ -63,8 +63,9 @@ class PoolFleet {
   /// /tmp excluded) — scanned once from machine 0.
   keylime::RuntimePolicy fleet_policy() const;
 
-  /// Bulk-push fleet_policy() to every agent: one PolicyIndex revision
-  /// shared across all shards.
+  /// Push fleet_policy() to every agent under its content digest: one
+  /// PolicyIndex revision shared across all shards, which join_agent
+  /// later reuses.
   Status push_fleet_policy();
 
   /// One benign workload round: every machine executes a deterministic,
@@ -79,8 +80,9 @@ class PoolFleet {
   // ------------------------------------------------------------- churn
 
   /// Enrol a brand-new agent on the current ring (machine + TPM identity
-  /// + registration + fleet policy push). Ids are minted fresh and NEVER
-  /// reused: a reused id would restart the departed agent's audit
+  /// + registration + fleet policy push; the push reuses the head
+  /// revision while that is the fleet policy). Ids are minted fresh and
+  /// NEVER reused: a reused id would restart the departed agent's audit
   /// sub-chain numbering, which the cross-shard chain invariant correctly
   /// reads as a fork. Returns the new agent id.
   Result<std::string> join_agent();
@@ -99,6 +101,8 @@ class PoolFleet {
 
  private:
   Result<std::string> spawn_agent(std::size_t ordinal);
+  /// Content digest of fleet_policy(), kept once a machine is scanned.
+  const std::string& fleet_digest() const;
 
   PoolFleetOptions options_;
   std::unique_ptr<crypto::CertificateAuthority> tpm_ca_;
@@ -110,6 +114,7 @@ class PoolFleet {
   std::map<std::string, std::size_t> slot_;  // live agent id -> slot index
   std::size_t next_ordinal_ = 0;  // monotone: ids are never reused
   mutable std::optional<keylime::RuntimePolicy> cached_policy_;
+  mutable std::string fleet_digest_;
   Status init_status_;
 };
 

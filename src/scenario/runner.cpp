@@ -34,7 +34,7 @@ void add_check(ScenarioOutcome& out, std::string name, bool ok,
 }
 
 /// A different shard count for rerun-based invariance checks (the same
-/// alternation cia_sim --storm used).
+/// alternation the retired storm CLI used).
 std::size_t other_shard_count(std::size_t shards) {
   return shards == 3 ? 8 : 3;
 }
@@ -96,7 +96,7 @@ Result<ScenarioOutcome> run_storm(const Scenario& sc,
   out.incident_stream = report.incident_stream;
 
   if (!storm.rollout) {
-    // The three accounting contracts the legacy cia_sim --storm pinned.
+    // The three accounting contracts the retired storm CLI pinned.
     add_check(out, "incidents_match_root_causes",
               report.incidents_opened == report.root_causes,
               strformat("%llu incidents opened for %zu root causes",
@@ -248,8 +248,8 @@ Result<ScenarioOutcome> run_churn(const Scenario& sc,
                       static_cast<unsigned long long>(pr.migration.failed)));
 
   if (options.self_check) {
-    // The legacy cia_sim --churn drift check: the identical campaign
-    // with no resizes must produce byte-identical per-agent chains.
+    // The no-resize drift check: the identical campaign with no resizes
+    // must produce byte-identical per-agent chains.
     auto baseline = run({}, nullptr);
     if (!baseline.ok()) return baseline.error();
     const std::string drift =
@@ -436,7 +436,7 @@ Result<ScenarioOutcome> run_chaos(const Scenario& sc,
   }
   out.report = chaos_report_json(report);
 
-  // The cia_chaos PASS predicate, one named verdict per clause.
+  // The chaos PASS predicate, one named verdict per clause.
   add_check(out, "no_transport_false_positives",
             report.transport_false_positives == 0,
             strformat("%zu transport-attributable policy alerts",
@@ -557,8 +557,8 @@ StormOptions lower_storm(const Scenario& sc) {
 
 ChurnCampaignOptions lower_churn(const Scenario& sc) {
   ChurnCampaignOptions options;
-  // The campaign RNG seed derives exactly as the legacy cia_sim harness
-  // derived it, so a scenario file replays a CLI run byte for byte.
+  // The campaign RNG seed derives exactly as the retired churn CLI
+  // derived it, so a file replays that CLI's runs byte for byte.
   options.seed = sc.seed ^ 0xc4u;
   options.rounds = static_cast<std::size_t>(sc.churn.rounds);
   options.round_period = sc.churn.round_period;

@@ -8,14 +8,14 @@
 // the contract the differential suite in tests/scenario_test.cpp pins.
 //
 // Each kind carries invariant self-checks distilled from the harness it
-// retired: the storm contracts cia_sim --storm enforced (incident count
-// == root causes, widest incident == fleet, lossless dedup accounting,
-// stream stable across repartition + mid-storm resize), the churn
-// no-resize chain-digest diff cia_sim --churn ran, the chaos PASS
-// predicate from cia_chaos, the Table II expectations from
+// retired: the storm contracts (incident count == root causes, widest
+// incident == fleet, lossless dedup accounting, stream stable across
+// repartition + mid-storm resize), the churn no-resize chain-digest
+// diff, the chaos PASS predicate, the Table II expectations from
 // experiments_test, and a partition-invariance digest diff for plain
 // fleet runs. Cheap checks always run; the expensive ones (full
-// campaign reruns) only under RunOptions::self_check.
+// campaign reruns) only under RunOptions::self_check. `cia_scenario run
+// FILE` is the command-line front door for every kind.
 #pragma once
 
 #include <map>
@@ -85,11 +85,11 @@ experiments::PoolFleetOptions lower_fleet(const Scenario& sc);
 experiments::StormOptions lower_storm(const Scenario& sc);
 
 /// kind=churn → run_churn_campaign options (campaign seed derives as
-/// scenario seed ^ 0xc4, matching the legacy cia_sim harness).
+/// scenario seed ^ 0xc4).
 experiments::ChurnCampaignOptions lower_churn(const Scenario& sc);
 
 /// kind=chaos → run_chaos_experiment options (base_package_count from
-/// $.chaos.base_packages, matching the legacy cia_chaos harness).
+/// $.chaos.base_packages).
 experiments::ChaosOptions lower_chaos(const Scenario& sc);
 
 /// kind=attacks → run_fn_experiment options.

@@ -276,8 +276,13 @@ ChaosSection read_chaos(const json::Value& v, Error* error) {
     const auto& scripts = experiments::chaos_scenarios();
     if (std::find(scripts.begin(), scripts.end(), chaos.script) ==
         scripts.end()) {
+      std::string expected;
+      for (std::size_t i = 0; i < scripts.size(); ++i) {
+        expected += i == 0 ? "" : i + 1 == scripts.size() ? ", or " : ", ";
+        expected += scripts[i];
+      }
       r.fail("$.chaos.script: unknown chaos script \"" + chaos.script +
-             "\" (see cia_chaos list)");
+             "\" (expected " + expected + ")");
     }
   }
   return chaos;

@@ -54,7 +54,7 @@ std::string gen_path(Rng& rng) {
       // ...vs the namespace-truncated path IMA actually logs.
       return "/usr/bin/" + gen_component(rng);
     case 5:  // container rootfs-relative path (generalized SNAP case)
-      return "/" + rng.ident(3) + "/" + gen_component(rng);
+      return std::string("/") + rng.ident(3) + "/" + gen_component(rng);
     case 6:  // P5: interpreter script
       return "/home/" + rng.ident(4) + "/" + gen_component(rng) + ".py";
     case 7:  // P4: post-rename destination
@@ -63,12 +63,16 @@ std::string gen_path(Rng& rng) {
       // Deep nesting.
       std::string p;
       const std::size_t depth = 4 + rng.uniform(12);
-      for (std::size_t i = 0; i < depth; ++i) p += "/" + rng.ident(2);
+      for (std::size_t i = 0; i < depth; ++i) {
+        p += '/';
+        p += rng.ident(2);
+      }
       return p;
     }
     default: {
       // Hostile shapes: repeated separators, trailing slash, dot-dots.
-      std::string p = "/" + gen_component(rng);
+      std::string p = "/";
+      p += gen_component(rng);
       if (rng.chance(0.4)) p += "//" + gen_component(rng);
       if (rng.chance(0.3)) p += "/../" + gen_component(rng);
       if (rng.chance(0.2)) p += "/";
@@ -168,7 +172,7 @@ keylime::RuntimePolicy gen_policy(Rng& rng, std::size_t max_paths) {
   for (std::size_t i = 0; i < globs; ++i) {
     switch (rng.uniform(4)) {
       case 0: policy.exclude("/tmp/*"); break;
-      case 1: policy.exclude("/" + rng.ident(3) + "/*"); break;
+      case 1: policy.exclude(std::string("/") + rng.ident(3) + "/*"); break;
       case 2: policy.exclude("*." + rng.ident(2)); break;
       default: policy.exclude("/?" + rng.ident(2) + "*/" + rng.ident(2)); break;
     }

@@ -64,19 +64,26 @@ class Fleet {
       for (const auto& entry : node.machine->ima().log()) {
         node.policy.allow(entry.path, entry.file_hash);
       }
-      (void)verifier_->set_policy(cfg.hostname, node.policy);
+      if (Status s = verifier_->set_policy(cfg.hostname, node.policy);
+          !s.ok()) {
+        setup_failures_.push_back(
+            {"policy_install", 0,
+             cfg.hostname + ": baseline install failed: " +
+                 s.error().to_string()});
+      }
       nodes_.push_back(std::move(node));
     }
   }
 
   InvariantReport run() {
     InvariantReport report;
+    report.violations = setup_failures_;
     const std::size_t tamper_round =
         options_.tamper ? options_.rounds / 2 : options_.rounds;
     for (std::size_t round = 0; round < options_.rounds; ++round) {
       ++report.rounds;
-      generate_activity(round == tamper_round);
-      attest_all(report);
+      generate_activity(round, round == tamper_round, report);
+      attest_all(round, report);
       check_pcr_replay(round, report);
       check_audit_chain(round, report);
       check_books(round, report);
@@ -106,7 +113,19 @@ class Fleet {
     report.violations.push_back({invariant, round, std::move(detail)});
   }
 
-  void generate_activity(bool tamper) {
+  /// A refused install leaves the verifier on a stale policy, so the
+  /// next round would raise a false alert: report it where it happened.
+  void install_policy(const Node& node, std::size_t round,
+                      InvariantReport& report) {
+    const std::string& id = node.machine->hostname();
+    if (Status s = verifier_->set_policy(id, node.policy); !s.ok()) {
+      fail(report, "policy_install", round,
+           id + ": install failed: " + s.error().to_string());
+    }
+  }
+
+  void generate_activity(std::size_t round, bool tamper,
+                         InvariantReport& report) {
     // Benign churn: new measured-and-allowed binaries, occasional reruns.
     for (Node& node : nodes_) {
       if (!rng_.chance(0.7)) continue;
@@ -116,7 +135,7 @@ class Fleet {
       const Bytes content = to_bytes("elf:" + path);
       (void)node.machine->fs().create_file(path, content, true);
       node.policy.allow(path, crypto::sha256(content));
-      (void)verifier_->set_policy(node.machine->hostname(), node.policy);
+      install_policy(node, round, report);
       (void)node.machine->exec(path);
       if (rng_.chance(0.3) && node.next_file > 1) {
         (void)node.machine->exec("/usr/local/bin/churn-" +
@@ -134,12 +153,12 @@ class Fleet {
     }
   }
 
-  void attest_all(InvariantReport& report) {
+  void attest_all(std::size_t round, InvariantReport& report) {
     for (Node& node : nodes_) {
       const std::string& id = node.machine->hostname();
       const std::size_t alerts_before = verifier_->alerts().size();
-      auto round = verifier_->attest_once(id);
-      if (!round.ok()) continue;
+      auto attested = verifier_->attest_once(id);
+      if (!attested.ok()) continue;
       ++rounds_tallied_;
       const std::size_t raised = verifier_->alerts().size() - alerts_before;
       alerts_tallied_ += raised;
@@ -148,11 +167,11 @@ class Fleet {
         // Operator playbook: acknowledge, then trust the implant's hash so
         // the fleet returns to steady state (the checker only plants one).
         (void)verifier_->resolve_failure(id);
-        for (const auto& alert : round.value().alerts) {
+        for (const auto& alert : attested.value().alerts) {
           if (alert.path.empty() || alert.observed_hash_hex.empty()) continue;
           node.policy.allow(alert.path, alert.observed_hash_hex);
         }
-        (void)verifier_->set_policy(id, node.policy);
+        install_policy(node, round, report);
       }
     }
   }
@@ -261,6 +280,8 @@ class Fleet {
   telemetry::MetricsRegistry metrics_;
   std::unique_ptr<keylime::Verifier> verifier_;
   std::vector<Node> nodes_;
+  /// Violations found while building the fleet, before any round.
+  std::vector<InvariantViolation> setup_failures_;
 
   std::uint64_t rounds_tallied_ = 0;
   std::uint64_t alerts_tallied_ = 0;

@@ -47,7 +47,8 @@ struct InvariantOptions {
 };
 
 struct InvariantViolation {
-  std::string invariant;  // pcr_replay | audit_chain | checkpoint | books
+  std::string invariant;  // pcr_replay | audit_chain | checkpoint | books |
+                          // policy_install
   std::size_t round = 0;
   std::string detail;
 };

@@ -151,6 +151,14 @@ FuzzOutcome run_wire(const Bytes& input) {
 // coverage needs the keys to line up.
 constexpr std::uint64_t kCheckpointSeed = 0x5eedc1a0;
 
+/// First failed policy install or attestation in a sample-minting rig.
+/// Samples from such a rig miss the branches they exist to cover, so
+/// the checkpoint and migration targets report it as a violation.
+std::string& sample_rig_fault() {
+  static std::string fault;
+  return fault;
+}
+
 /// A minimal enrolled deployment used to mint genuine checkpoints.
 struct CheckpointRig {
   SimClock clock;
@@ -177,6 +185,14 @@ struct CheckpointRig {
     }
   }
 
+  template <typename R>
+  static void note(const R& outcome, const char* what) {
+    if (!outcome.ok() && sample_rig_fault().empty()) {
+      sample_rig_fault() = std::string("sample rig ") + what + ": " +
+                           outcome.error().to_string();
+    }
+  }
+
   void run_activity(bool tamper) {
     for (std::size_t i = 0; i < machines.size(); ++i) {
       auto& machine = *machines[i];
@@ -190,15 +206,15 @@ struct CheckpointRig {
       for (const auto& entry : machine.ima().log()) {
         policy.allow(entry.path, entry.file_hash);
       }
-      (void)verifier.set_policy(machine.hostname(), policy);
-      (void)verifier.attest_once(machine.hostname());
+      note(verifier.set_policy(machine.hostname(), policy), "set_policy");
+      note(verifier.attest_once(machine.hostname()), "attest_once");
       if (tamper && i == 0) {
         // Leave agent 0 FAILED with pending entries: the checkpoint then
         // covers the quarantine/pending branches of restore().
         const std::string mal = "/tmp/tk-implant";
         (void)machine.fs().create_file(mal, to_bytes("elf:implant"), true);
         (void)machine.exec(mal);
-        (void)verifier.attest_once(machine.hostname());
+        note(verifier.attest_once(machine.hostname()), "attest_once");
       }
       clock.advance(60);
     }
@@ -227,6 +243,10 @@ const std::vector<Bytes>& sample_checkpoints() {
 }
 
 FuzzOutcome run_checkpoint(const Bytes& input) {
+  sample_checkpoints();  // mints once; a faulted rig fails every input
+  if (!sample_rig_fault().empty()) {
+    return FuzzOutcome::violation(sample_rig_fault());
+  }
   auto doc = json::parse(to_string(input));
   if (!doc.ok()) return FuzzOutcome::rejected();
 
@@ -294,6 +314,10 @@ const std::vector<Bytes>& sample_handoffs() {
 }
 
 FuzzOutcome run_migration(const Bytes& input) {
+  sample_handoffs();  // mints once; a faulted rig fails every input
+  if (!sample_rig_fault().empty()) {
+    return FuzzOutcome::violation(sample_rig_fault());
+  }
   auto decoded = keylime::HandoffPayload::decode(input);
   if (!decoded.ok()) return FuzzOutcome::rejected();
   const keylime::HandoffPayload& p = decoded.value();

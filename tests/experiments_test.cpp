@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "common/strutil.hpp"
-#include "experiments/fleet_experiment.hpp"
 #include "experiments/fn_experiment.hpp"
 #include "experiments/fp_experiment.hpp"
 #include "experiments/report.hpp"
@@ -188,25 +187,6 @@ TEST(DynamicPolicyTest, UpdateStatsArePopulated) {
     any_packages |= u.packages_processed > 0;
   }
   EXPECT_TRUE(any_packages);
-}
-
-// ----------------------------------------------------------------- fleet
-
-TEST(FleetExperimentTest, SmallFleetStaysGreenUnderLoss) {
-  FleetRunOptions options;
-  options.nodes = 3;
-  options.days = 3;
-  options.archive.base_package_count = 100;
-  options.provision_extra = 15;
-  options.drop_rate = 0.05;
-  const auto result = run_fleet_experiment(options);
-  EXPECT_EQ(result.nodes, 3u);
-  EXPECT_EQ(result.updates_run, 3);
-  EXPECT_EQ(result.false_positives, 0u)
-      << "the fleet must stay in policy through its upgrades";
-  EXPECT_GT(result.polls, 100u);
-  EXPECT_TRUE(result.audit_chain_intact);
-  EXPECT_GT(result.audit_records, 50u);
 }
 
 // ---------------------------------------------------------------- Table II

@@ -433,6 +433,46 @@ TEST(PoolReshardTest, ChurnCampaignVerdictsInvariantAcrossResizePoints) {
   EXPECT_EQ(with_resizes, baseline);
 }
 
+TEST(PoolReshardTest, JoinersShareTheFoundingPolicyRevision) {
+  // A joiner runs the fleet image the founders run, so the pool hands it
+  // the head revision's (policy, index) pair: a churn campaign with
+  // resizes adds no full index build and no revision.
+  telemetry::MetricsRegistry metrics;
+  PoolFleetOptions options;
+  options.agents = 24;
+  options.shards = 3;
+  options.seed = 19;
+  options.metrics = &metrics;
+  PoolFleet fleet(options);
+  ASSERT_TRUE(fleet.init_status().ok());
+  const std::set<std::string> founders(fleet.agent_ids().begin(),
+                                       fleet.agent_ids().end());
+  ASSERT_TRUE(fleet.push_fleet_policy().ok());
+  const std::uint64_t founding = fleet.pool().policy_revision();
+  const auto builds = [&](const char* mode) {
+    return metrics.counter_value("cia_policy_index_builds_total",
+                                 {{"mode", mode}});
+  };
+  EXPECT_EQ(builds("full"), 1u);
+
+  ChurnCampaignOptions campaign;
+  campaign.rounds = 10;
+  campaign.resize_at = {{4, 6}, {7, 2}};
+  const auto report = run_churn_campaign(fleet, campaign);
+  ASSERT_TRUE(report.status.ok()) << report.status.error().message;
+  ASSERT_GT(report.joins, 0u);
+  EXPECT_EQ(builds("full"), 1u) << "a join rebuilt the fleet index";
+  EXPECT_EQ(builds("reused"), report.joins);
+  EXPECT_EQ(fleet.pool().policy_revision(), founding);
+
+  std::size_t joiners = 0;
+  for (const std::string& id : fleet.agent_ids()) {
+    if (founders.count(id) == 0) ++joiners;
+    EXPECT_EQ(fleet.pool().policy_revision_of(id), founding) << id;
+  }
+  EXPECT_GT(joiners, 0u) << "every joiner left again; nothing is pinned";
+}
+
 TEST(PoolReshardTest, HandoffFaultsNeverWedgeOrForkAChain) {
   PoolFleetOptions options;
   options.agents = 32;

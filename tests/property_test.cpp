@@ -344,7 +344,8 @@ TEST_P(WireTruncationProperty, TruncatedQuoteResponsesFailCleanly) {
     ima::LogEntry e;
     e.path = "/usr/bin/tool" + std::to_string(i);
     e.file_hash = crypto::sha256(std::to_string(i));
-    e.template_hash = crypto::sha256("t" + std::to_string(i));
+    e.template_hash =
+        crypto::sha256(std::string("t").append(std::to_string(i)));
     resp.entries.push_back(e);
   }
   resp.total_log_length = 5;

@@ -463,26 +463,53 @@ TEST(ProblemP2Gauge, StockBehaviourFreezesTheGaugeWithPolling) {
       5u);
 }
 
+ChaosReport run_wan_loss(std::size_t nodes, int days,
+                         std::size_t base_packages, bool retrying_transport) {
+  ChaosOptions options;
+  options.scenario = "wan-loss";
+  options.nodes = nodes;
+  options.days = days;
+  options.archive.base_package_count = base_packages;
+  options.provision_extra = 15;
+  options.retrying_transport = retrying_transport;
+  return run_chaos_experiment(options);
+}
+
 TEST(ChaosTest, WanLossFiveDaysZeroTransportFalsePositives) {
   // The acceptance run: 10% packet loss for five days across a fleet,
   // with one genuine compromise injected mid-run. The retrying transport
   // must absorb every comms fault (zero transport-attributable alerts)
   // while the real violation is still caught.
-  ChaosOptions options;
-  options.scenario = "wan-loss";
-  options.nodes = 4;
-  options.days = 5;
-  options.archive.base_package_count = 120;
-  options.provision_extra = 15;
-  const ChaosReport report = run_chaos_experiment(options);
+  const ChaosReport report = run_wan_loss(4, 5, 120, true);
   ASSERT_TRUE(report.valid);
+  EXPECT_EQ(report.updates_run, 5);
   EXPECT_EQ(report.transport_false_positives, 0u);
   EXPECT_TRUE(report.violation_injected);
   EXPECT_TRUE(report.genuine_detected);
   EXPECT_GT(report.drops, 0u) << "the fault plan must actually fire";
   EXPECT_GT(report.retries, 0u);
+  EXPECT_GT(report.polls, 100u);
   EXPECT_TRUE(report.liveness_ok);
   EXPECT_TRUE(report.audit_chain_ok);
+  EXPECT_GT(report.audit_records, 50u);
+}
+
+TEST(FleetExperimentTest, SmallFleetStaysGreenUnderLoss) {
+  // A small fleet on the lossy WAN with the retry layer off: lost polls
+  // then cost comms alerts, never policy alerts, and every node stays in
+  // policy through its daily upgrades.
+  const ChaosReport report = run_wan_loss(3, 3, 100, false);
+  ASSERT_TRUE(report.valid);
+  EXPECT_EQ(report.updates_run, 3);
+  EXPECT_EQ(report.transport_false_positives, 0u)
+      << "the fleet must stay in policy through its upgrades";
+  EXPECT_TRUE(report.violation_injected);
+  EXPECT_TRUE(report.genuine_detected);
+  EXPECT_GT(report.drops, 0u) << "the fault plan must actually fire";
+  EXPECT_GT(report.polls, 100u);
+  EXPECT_TRUE(report.liveness_ok);
+  EXPECT_TRUE(report.audit_chain_ok);
+  EXPECT_GT(report.audit_records, 50u);
 }
 
 TEST(ChaosTest, VerifierRestartPreservesAuditChainAndAlerts) {

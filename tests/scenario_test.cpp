@@ -109,7 +109,7 @@ TEST(ScenarioDifferentialTest, StormFileReplaysLegacyHarnessByteForByte) {
   EXPECT_EQ(outcome.report.dump(), storm_report_json(legacy).dump());
 
   // And through options built by hand, proving the lowering itself maps
-  // the file onto what a cia_sim --storm invocation used to construct.
+  // the file onto the options the hand-coded storm harness constructed.
   experiments::StormOptions manual;
   manual.seed = 42;
   manual.agents = 40;
@@ -130,7 +130,8 @@ TEST(ScenarioDifferentialTest, ChurnFileReplaysLegacyCampaignChains) {
   const ScenarioOutcome outcome = must_run(sc);
 
   // The legacy path: a PoolFleet plus run_churn_campaign, exactly as
-  // cia_sim --churn hand-assembled it (campaign seed = scenario ^ 0xc4).
+  // the hand-coded churn harness assembled it (campaign seed =
+  // scenario ^ 0xc4).
   experiments::PoolFleet fleet(lower_fleet(sc));
   ASSERT_TRUE(fleet.init_status().ok());
   ASSERT_TRUE(fleet.push_fleet_policy().ok());
@@ -274,6 +275,20 @@ TEST(ScenarioFilesTest, EveryCheckedInScenarioValidates) {
   }
 }
 
+TEST(ScenarioFilesTest, EveryChaosScriptHasACheckedInFile) {
+  // cia_scenario is the only front door for fleet campaigns, so every
+  // fault script must be runnable from a file in scenarios/.
+  const std::string dir = default_scenario_dir();
+  for (const std::string& script : experiments::chaos_scenarios()) {
+    const std::string file = dir + "/chaos-" + script + ".json";
+    auto loaded = load_file(file);
+    ASSERT_TRUE(loaded.ok())
+        << file << ": " << (loaded.ok() ? "" : loaded.error().message);
+    EXPECT_EQ(loaded.value().kind, Kind::kChaos) << file;
+    EXPECT_EQ(loaded.value().chaos.script, script) << file;
+  }
+}
+
 // --------------------------------------------------- schema rejections
 
 TEST(ScenarioSchemaTest, EveryInvalidFixtureFailsWithThePinnedMessage) {
@@ -315,8 +330,9 @@ TEST(ScenarioSchemaTest, EveryInvalidFixtureFailsWithThePinnedMessage) {
       {"unknown chaos script",
        R"({"version":1,"name":"x","kind":"chaos",
            "chaos":{"script":"meteor-strike"}})",
-       "$.chaos.script: unknown chaos script \"meteor-strike\" (see "
-       "cia_chaos list)"},
+       "$.chaos.script: unknown chaos script \"meteor-strike\" (expected "
+       "wan-loss, agent-crash-loop, verifier-restart, registrar-outage, "
+       "mirror-partition, or flaky-window)"},
       {"section not valid for kind",
        R"({"version":1,"name":"x","kind":"attacks","attacks":{},
            "storm":{"storm_rounds":2}})",

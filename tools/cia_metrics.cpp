@@ -3,10 +3,11 @@
 //
 //   cia_metrics run [--scenario NAME] [--nodes N] [--days D] [--seed S]
 //                   [--format prom|json|trace|all] [--out PREFIX]
-//       Drive one chaos scenario (see cia_chaos list) with a metrics
-//       registry and tracer wired through every component, then write
-//       the result: Prometheus text (PREFIX.prom), canonical metrics
-//       JSON (PREFIX.json), and/or Chrome trace_event JSON
+//       Drive one chaos script (NAME as in scenarios/chaos-NAME.json)
+//       with a metrics registry and tracer wired through every
+//       component, then write the result: Prometheus text
+//       (PREFIX.prom), canonical metrics JSON (PREFIX.json), and/or
+//       Chrome trace_event JSON
 //       (PREFIX.trace.json — load in chrome://tracing or Perfetto).
 //       Without --out, the selected format is printed to stdout
 //       (--format all requires --out).
